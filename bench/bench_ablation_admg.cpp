@@ -2,8 +2,7 @@
 //  1. Gaussian back substitution on/off (ADM-G vs plain 4-block ADMM),
 //  2. the correction relaxation epsilon,
 //  3. the penalty rho (all values reach the same objective; speed differs),
-//  4. FISTA vs plain projected gradient as the inner solver,
-//  5. ADM-G vs the projected-subgradient centralized baseline.
+//  4. ADM-G vs the projected-subgradient centralized baseline.
 // Every variant runs on the same representative slots of the paper scenario.
 #include <array>
 
@@ -42,7 +41,7 @@ VariantResult run_variant(const ufc::traces::Scenario& scenario,
 int main() {
   using namespace ufc;
   bench::print_header("Ablations - ADM-G design choices",
-                      "correction step, epsilon, rho, inner solver, baseline");
+                      "correction step, epsilon, rho, baseline");
 
   const auto scenario = bench::paper_scenario();
   std::vector<int> slots;
@@ -89,19 +88,6 @@ int main() {
     options.max_iterations = 4000;
     report_variant("rho = " + fixed(rho, 1),
                    run_variant(scenario, options, slots));
-  }
-  {
-    auto pg = base;
-    pg.inner.method = admm::InnerMethod::ProjectedGradient;
-    pg.inner.fista.max_iterations = 20000;
-    report_variant("inner solver = projected gradient",
-                   run_variant(scenario, pg, slots));
-  }
-  {
-    auto exact = base;
-    exact.inner.method = admm::InnerMethod::Exact;
-    report_variant("inner solver = exact rank-one QP",
-                   run_variant(scenario, exact, slots));
   }
   {
     // The case ADM-G exists for: a non-smooth, non-strongly-convex carbon

@@ -92,10 +92,6 @@ RunResult run_composition(const ufc::UfcProblem& problem,
   options.acceleration = composition.acceleration;
   options.max_iterations = max_iterations;
   options.record_trace = false;
-  // Every composition runs the same exact inner solves (the rank-one QP —
-  // machine precision, valid for the quadratic utility this bench uses), so
-  // iteration counts compare outer loops, not inner-solver tuning.
-  options.inner.method = ufc::admm::InnerMethod::Exact;
   const auto start = std::chrono::steady_clock::now();
   const ufc::admm::AdmgReport report = ufc::admm::solve_admg(problem, options);
   const auto elapsed = std::chrono::steady_clock::now() - start;

@@ -72,9 +72,12 @@ void BM_LambdaBlock(benchmark::State& state) {
   in.latency_weight = 10.0;
   in.utility = &utility;
   const Vec warm(n, 0.0);
-  admm::InnerSolverOptions inner;
+  Vec out(n);
+  admm::BlockWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(admm::solve_lambda_block(in, warm, inner));
+    admm::solve_lambda_block_into(in, warm.span(), out.span(), ws);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_LambdaBlock)->Arg(4)->Arg(16)->Arg(64);
@@ -98,9 +101,12 @@ void BM_ABlock(benchmark::State& state) {
   in.rho = 10.0;
   in.capacity = 4.0;
   const Vec warm(m, 0.0);
-  admm::InnerSolverOptions inner;
+  Vec out(m);
+  admm::BlockWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(admm::solve_a_block(in, warm, inner));
+    admm::solve_a_block_into(in, warm.span(), out.span(), ws);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ABlock)->Arg(10)->Arg(40)->Arg(160);

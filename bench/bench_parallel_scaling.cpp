@@ -8,8 +8,8 @@
 //
 //  2. Size-scaling frontier (docs/PERFORMANCE.md, "Scaling frontier"):
 //     serial per-iteration time up to 4096x256 for the default kernels
-//     (sort projection, bit-pinned) and the fast path (Condat projection +
-//     active-set screening), against the pre-frontier serial baseline.
+//     (exact block solves over every coordinate) and the fast path
+//     (active-set screening), against the pre-frontier serial baseline.
 //     Each fast-path run is KKT-validated: one extra step is taken from a
 //     snapshot of (a, varphi), and the resulting lambda rows are checked as
 //     projected-gradient fixed points of their sub-problems.
@@ -20,6 +20,7 @@
 #include <cmath>
 
 #include "admm/admg.hpp"
+#include "math/projections.hpp"
 #include "opt/kkt.hpp"
 #include "util/rng.hpp"
 
@@ -210,7 +211,7 @@ int main() {
 
   // ---- Size-scaling frontier: default kernels vs. the fast path, serial.
   std::cout << "\n=== Size-scaling frontier (serial) ===\n";
-  std::cout << "fast path = Condat projection + active-set screening "
+  std::cout << "fast path = active-set screening "
                "(full verification pass every "
             << admm::ActiveSetOptions{}.full_pass_every << " steps)\n\n";
   // Timed windows are multiples of the screening period where affordable, so
@@ -240,7 +241,6 @@ int main() {
         frontier_us_per_iteration(problem, defaults, warmup, size.iterations);
 
     admm::AdmgOptions fast = defaults;
-    fast.inner.projection = SimplexProjection::Condat;
     fast.screening.enabled = true;
     admm::AdmgSolver fast_solver(problem, fast);
     for (int k = 0; k < warmup; ++k) fast_solver.step();

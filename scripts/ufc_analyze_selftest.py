@@ -496,10 +496,10 @@ class RegistryConfinementTests(unittest.TestCase):
         self.assertEqual(findings, [])
 
     def test_lookalike_identifiers_pass(self):
-        # InnerMethod is an enum and registry lookups are not constructions.
+        # BlockPinning is an enum and registry lookups are not constructions.
         findings = self._confine({
             "src/admm/options.cpp":
-                "options.inner.method = InnerMethod::Exact;\n"
+                "options.pinning = BlockPinning::PinMu;\n"
                 "auto p = penalty_registry().create(name, options);\n",
         })
         self.assertEqual(findings, [])

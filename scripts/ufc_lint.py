@@ -18,9 +18,11 @@ Rules (each documented in docs/STATIC_ANALYSIS.md):
                     .gitignore and scripts/plot_figures.gp can rely on the
                     prefix.
   no-alloc-in-step  No Mat/Vec construction inside the ADM-G step hot path
-                    (InProcessExecutor::step / the legacy AdmgSolver::step) —
-                    it works entirely out of workspaces allocated in reset(),
-                    so steady-state iterations are allocation-free.
+                    (InProcessExecutor::step / the legacy AdmgSolver::step)
+                    or the lambda and a block solvers it calls
+                    (solve_{lambda,a}_block_into) — they work entirely out of
+                    workspaces allocated in reset() or on the first call, so
+                    steady-state iterations are allocation-free.
   finite-iterate-guard
                     The one solver iteration loop (AdmgEngine::solve) must
                     route iterations through SolverWatchdog::observe so
@@ -33,12 +35,11 @@ Rules (each documented in docs/STATIC_ANALYSIS.md):
                     drivers provably run the same prediction/correction loop.
   no-sort-in-hot-path
                     No std::sort / std::stable_sort / std::partial_sort in the
-                    ADM-G hot path (src/admm/** and the projection fast paths
-                    in src/math/projections.*): the O(n) Condat projection
-                    exists precisely so the per-iteration cost has no n log n
-                    term. The bit-pinned sort-based reference implementation
-                    lives in src/math/projections_reference.cpp, the one file
-                    exempt by name.
+                    ADM-G hot path (src/admm/**, src/opt/**, src/math/**): the
+                    O(n) Condat projection and the sort-free root finder exist
+                    precisely so the per-iteration cost has no n log n term.
+                    The sort-based projection survives only as the test
+                    oracle in tests/math/sort_projection.hpp.
   obs-layering      The observability layer (src/obs) consumes solver results,
                     never drives solves: it may include only obs/, util/,
                     model/ headers and the dedicated result/telemetry seams
@@ -194,18 +195,23 @@ def check_bench_csv_name(rel: str, lines: list[str]) -> list[Finding]:
 # Rule: no-alloc-in-step
 # --------------------------------------------------------------------------
 # InProcessExecutor::step() (and the legacy AdmgSolver::step facade) is the
-# per-iteration hot path; PR 2 moved every Mat/Vec it needs into workspaces
-# sized once in reset(). Constructing a Mat or Vec inside the step body
-# reintroduces per-iteration heap traffic, so any `Mat(...)` / `Vec(...)`
-# construction (temporary or named local) is flagged. References and pointers
-# (`const Vec&`, `Vec*`) do not allocate and pass.
-ALLOC_RE = re.compile(r"\b(Mat|Vec)\s*(?:[A-Za-z_]\w*\s*)?[({]")
+# per-iteration hot path; every Mat/Vec it needs lives in workspaces sized
+# once in reset(), and the lambda and a block solvers it calls per row and
+# column work in a BlockWorkspace that stops growing after the first call.
+# Constructing a Mat or Vec inside any of these bodies reintroduces
+# per-iteration heap traffic, so any `Mat(...)` / `Vec(...)` construction
+# (temporary, named local, or a local copy-initialized from a returned
+# value) is flagged. References and pointers (`const Vec&`, `Vec*`) do not
+# allocate and pass.
+ALLOC_RE = re.compile(r"\b(Mat|Vec)\s*(?:[A-Za-z_]\w*\s*[({=]|[({])")
 # The per-iteration hot path: step() plus the pass helpers it dispatches to
-# (full/screened lambda and datacenter passes extracted from the step body).
+# (full/screened lambda and datacenter passes extracted from the step body)
+# and the two block solvers those passes call once per row or column.
 STEP_DEF_RE = re.compile(
-    r"\b(?:AdmgSolver|InProcessExecutor)\s*::\s*"
+    r"\b(?:(?:AdmgSolver|InProcessExecutor)\s*::\s*"
     r"(?:step|run_full_datacenter_pass|run_screened_lambda_pass|"
-    r"run_screened_datacenter_pass)\s*\(")
+    r"run_screened_datacenter_pass)|solve_lambda_block_into|"
+    r"solve_a_block_into)\s*\(")
 
 
 def _body_span(text: str, open_paren: int) -> tuple[int, int] | None:
@@ -262,23 +268,19 @@ def check_no_alloc_in_step(rel: str, lines: list[str]) -> list[Finding]:
 # --------------------------------------------------------------------------
 # Rule: no-sort-in-hot-path
 # --------------------------------------------------------------------------
-# The ADM-G step's per-iteration cost must stay O(n) per projection: the
-# Condat algorithm (src/math/projections.cpp) replaced the sort-and-threshold
-# method in the hot path, and the n log n reference survives only as the
-# bit-pinned cross-validation baseline in src/math/projections_reference.cpp.
-# A std::sort reappearing under src/admm or in the projection fast paths
-# silently reintroduces the scaling term the frontier bench exists to keep
-# out.
-SORT_HOT_PATH_PREFIXES = ("src/admm/",)
-SORT_HOT_PATH_FILES = {"src/math/projections.hpp", "src/math/projections.cpp"}
-SORT_REFERENCE_FILE = "src/math/projections_reference.cpp"
+# The ADM-G step's per-iteration cost must stay O(n) per projection: every
+# block solve is a handful of Condat projections (src/math/projections.cpp)
+# driven by the sort-free root finder (src/opt/scalar.hpp), and the n log n
+# sort-and-threshold method survives only as the test oracle in
+# tests/math/sort_projection.hpp. A std::sort reappearing under src/admm,
+# src/opt or src/math silently reintroduces the scaling term the frontier
+# bench exists to keep out.
+SORT_HOT_PATH_PREFIXES = ("src/admm/", "src/opt/", "src/math/")
 SORT_CALL_RE = re.compile(r"\bstd\s*::\s*(?:stable_sort|partial_sort|sort)\s*\(")
 
 
 def check_no_sort_in_hot_path(rel: str, lines: list[str]) -> list[Finding]:
-    if rel == SORT_REFERENCE_FILE:
-        return []
-    if not (rel.startswith(SORT_HOT_PATH_PREFIXES) or rel in SORT_HOT_PATH_FILES):
+    if not rel.startswith(SORT_HOT_PATH_PREFIXES):
         return []
     findings = []
     for i, line in enumerate(lines):
@@ -287,8 +289,8 @@ def check_no_sort_in_hot_path(rel: str, lines: list[str]) -> list[Finding]:
             findings.append(Finding(
                 rel, i + 1, "no-sort-in-hot-path",
                 "std::sort in the ADM-G hot path; use the O(n) Condat "
-                "projection — the sort-based reference lives only in "
-                "src/math/projections_reference.cpp"))
+                "projection — the sort-based oracle lives only in "
+                "tests/math/sort_projection.hpp"))
     return findings
 
 
@@ -494,7 +496,7 @@ RULES = {
     "float-equal": (check_float_equal, "no ==/!= on float literals outside tolerance helpers"),
     "bench-csv-name": (check_bench_csv_name, "bench binaries write only ufc_*.csv"),
     "no-alloc-in-step": (check_no_alloc_in_step, "no Mat/Vec construction inside the ADM-G step hot path"),
-    "no-sort-in-hot-path": (check_no_sort_in_hot_path, "no std::sort in src/admm or the projection fast paths"),
+    "no-sort-in-hot-path": (check_no_sort_in_hot_path, "no std::sort in src/admm, src/opt or src/math"),
     "finite-iterate-guard": (check_finite_iterate_guard, "the engine iteration loop must consult SolverWatchdog::observe"),
     "engine-single-loop": (check_engine_single_loop, "GBS correction arithmetic only in src/admm/engine.cpp"),
     "obs-layering": (check_obs_layering, "src/obs includes only seam headers, never solver drivers"),
@@ -722,14 +724,31 @@ def self_test() -> int:
             findings = self.lint_source("src/math/projections.cpp", cpp)
             self.assertIn("no-sort-in-hot-path", self.rules_of(findings))
 
-        def test_no_sort_in_hot_path_reference_file_exempt(self):
+        def test_no_sort_in_hot_path_whole_math_layer_flagged(self):
+            # No file under src/math is exempt, the old reference included.
             cpp = "void p(std::vector<double>& s) { std::sort(s.begin(), s.end()); }\n"
             findings = self.lint_source("src/math/projections_reference.cpp", cpp)
+            self.assertIn("no-sort-in-hot-path", self.rules_of(findings))
+
+        def test_no_sort_in_hot_path_test_oracle_ok(self):
+            # The sort-based oracle lives under tests/, outside every scope.
+            cpp = "inline void p(std::vector<double>& s) { std::sort(s.begin(), s.end()); }\n"
+            findings = self.lint_source("tests/math/sort_projection.hpp", cpp)
+            self.assertNotIn("no-sort-in-hot-path", self.rules_of(findings))
+
+        def test_no_sort_in_hot_path_opt_layer_flagged(self):
+            cpp = "double q(std::vector<double>& s) { std::partial_sort(s.begin(), s.begin() + 1, s.end()); return s[0]; }\n"
+            findings = self.lint_source("src/opt/scalar.hpp", cpp)
+            self.assertIn("no-sort-in-hot-path", self.rules_of(findings))
+
+        def test_no_sort_in_hot_path_opt_layer_sort_free_ok(self):
+            cpp = "double q(std::vector<double>& s) { std::nth_element(s.begin(), s.begin(), s.end()); return s[0]; }\n"
+            findings = self.lint_source("src/opt/scalar.hpp", cpp)
             self.assertNotIn("no-sort-in-hot-path", self.rules_of(findings))
 
         def test_no_sort_in_hot_path_other_layers_exempt(self):
             cpp = "void f(std::vector<double>& s) { std::sort(s.begin(), s.end()); }\n"
-            findings = self.lint_source("src/opt/quantiles.cpp", cpp)
+            findings = self.lint_source("src/util/stats.cpp", cpp)
             self.assertNotIn("no-sort-in-hot-path", self.rules_of(findings))
 
         def test_no_sort_in_hot_path_comment_ignored(self):
@@ -744,6 +763,40 @@ def self_test() -> int:
                    "}\n")
             findings = self.lint_source("src/admm/blocks.cpp", cpp)
             self.assertNotIn("no-sort-in-hot-path", self.rules_of(findings))
+
+        def test_no_alloc_in_lambda_block_solver_flagged(self):
+            cpp = ("void solve_lambda_block_into(const LambdaBlockInputs& in,\n"
+                   "                             std::span<double> out) {\n"
+                   "  Vec point(out.size());\n"
+                   "  use(point, in);\n"
+                   "}\n")
+            findings = self.lint_source("src/admm/blocks.cpp", cpp)
+            self.assertIn("no-alloc-in-step", self.rules_of(findings))
+
+        def test_no_alloc_in_a_block_solver_flagged(self):
+            cpp = ("void solve_a_block_into(const ABlockInputs& in,\n"
+                   "                        std::span<double> out) {\n"
+                   "  const Vec solution = solve(in);\n"
+                   "  copy(solution, out);\n"
+                   "}\n")
+            findings = self.lint_source("src/admm/blocks.cpp", cpp)
+            self.assertIn("no-alloc-in-step", self.rules_of(findings))
+
+        def test_no_alloc_in_block_solver_workspace_ok(self):
+            # Workspace growth is fine; so is a Vec built by a caller that
+            # merely calls the solver.
+            cpp = ("void solve_a_block_into(const ABlockInputs& in,\n"
+                   "                        std::span<double> out,\n"
+                   "                        BlockWorkspace& ws) {\n"
+                   "  ws.base.resize(out.size());\n"
+                   "}\n"
+                   "Vec solve_a(const ABlockInputs& in, BlockWorkspace& ws) {\n"
+                   "  Vec out(in.varphi_col.size());\n"
+                   "  solve_a_block_into(in, out.span(), ws);\n"
+                   "  return out;\n"
+                   "}\n")
+            findings = self.lint_source("src/admm/blocks.cpp", cpp)
+            self.assertNotIn("no-alloc-in-step", self.rules_of(findings))
 
         def test_no_alloc_in_step_pass_helper_flagged(self):
             cpp = ("void InProcessExecutor::run_screened_datacenter_pass() {\n"

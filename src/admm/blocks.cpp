@@ -4,40 +4,21 @@
 #include <cmath>
 
 #include "math/projections.hpp"
-#include "opt/rank_one_qp.hpp"
-#include "opt/projected_gradient.hpp"
 #include "opt/scalar.hpp"
 #include "util/contract.hpp"
 #include "util/restrict.hpp"
 
 namespace ufc::admm {
 
-namespace {
-
-/// Runs the plain-PG ablation inner solver. The FISTA default goes through
-/// the allocation-free fista_minimize_ws path instead; Exact is dispatched
-/// before reaching here.
-Vec run_projected_gradient(const Vec& x0,
-                           const std::function<Vec(const Vec&)>& gradient,
-                           const std::function<Vec(const Vec&)>& project,
-                           double lipschitz,
-                           const InnerSolverOptions& options) {
-  PgOptions pg;
-  pg.max_iterations = options.fista.max_iterations;
-  pg.tolerance = options.fista.tolerance;
-  return projected_gradient(x0, gradient, project, lipschitz, pg).x;
-}
-
-}  // namespace
-
 void solve_lambda_block_into(const LambdaBlockInputs& in,
                              std::span<const double> warm_start,
                              std::span<double> out, BlockWorkspace& ws,
-                             const InnerSolverOptions& options) {
+                             const InnerSolverOptions& /*options*/) {
   UFC_EXPECTS(in.utility != nullptr);
   UFC_EXPECTS(in.rho > 0.0);
   UFC_EXPECTS(in.arrival >= 0.0);
   const std::size_t n = in.latency_row.size();
+  UFC_EXPECTS(n > 0);
   UFC_EXPECTS(in.a_row.size() == n && in.varphi_row.size() == n);
   UFC_EXPECTS(warm_start.size() == n);
   UFC_EXPECTS(out.size() == n);
@@ -48,102 +29,33 @@ void solve_lambda_block_into(const LambdaBlockInputs& in,
     return;
   }
 
-  // Exact path: with the paper's quadratic utility the sub-problem is
-  //   (w/A)(lambda . L)^2 + (rho/2)||lambda||^2 - (varphi + rho a).lambda
-  // over the simplex — an identity-plus-rank-one QP.
-  if (options.method == InnerMethod::Exact && in.utility->is_quadratic()) {
-    RankOneQp& qp = ws.qp;  // coefficient buffers reused across solves
-    qp.curvature = 2.0 * in.latency_weight / in.arrival;
-    qp.direction.assign(in.latency_row);
-    qp.tikhonov = in.rho;
-    qp.linear.resize(n);
-    for (std::size_t j = 0; j < n; ++j)
-      qp.linear[j] = -in.varphi_row[j] - in.rho * in.a_row[j];
-    const Vec solution = solve_rank_one_qp_simplex(qp, in.arrival);
-    std::copy(solution.begin(), solution.end(), out.begin());
-    return;
+  // lambda(s) = P(base + pull(s) L), base = a + varphi / rho,
+  // pull(s) = (w / rho) u'(s / A). The workspace never aliases the inputs,
+  // so the loops run on restrict-qualified pointers.
+  ws.base.resize(n);
+  double* UFC_RESTRICT base = ws.base.data();
+  const double* UFC_RESTRICT lat = in.latency_row.data();
+  const double* UFC_RESTRICT a = in.a_row.data();
+  const double* UFC_RESTRICT varphi = in.varphi_row.data();
+  double lat_min = lat[0];
+  double lat_max = lat[0];
+  for (std::size_t j = 0; j < n; ++j) {
+    base[j] = a[j] + varphi[j] / in.rho;
+    lat_min = std::min(lat_min, lat[j]);
+    lat_max = std::max(lat_max, lat[j]);
   }
-
-  // Gradient of
-  //   f(lambda) = -w A u(l) - sum_j varphi_j lambda_j
-  //               + (rho/2) sum_j (a_j - lambda_j)^2,
-  // with l = dot(lambda, L) / A:
-  //   df/dlambda_j = -w u'(l) L_j - varphi_j - rho (a_j - lambda_j).
-
-  // Hessian = (w |u''| / A) L L^T + rho I  =>  exact Lipschitz bound.
-  double latency_norm_sq = 0.0;
-  double latency_max = 0.0;
-  for (double l : in.latency_row) {
-    latency_norm_sq += l * l;
-    latency_max = std::max(latency_max, l);
-  }
-  const double curvature = in.utility->max_curvature(latency_max);
-  const double lipschitz =
-      in.latency_weight * curvature * latency_norm_sq / in.arrival + in.rho;
-
-  if (options.method == InnerMethod::ProjectedGradient) {
-    auto gradient = [&](const Vec& lambda) {
-      double weighted = 0.0;
-      for (std::size_t j = 0; j < n; ++j)
-        weighted += lambda[j] * in.latency_row[j];
-      const double avg_latency = weighted / in.arrival;
-      const double uprime = in.utility->derivative(avg_latency);
-      Vec g(n);
-      for (std::size_t j = 0; j < n; ++j) {
-        g[j] = -in.latency_weight * uprime * in.latency_row[j] -
-               in.varphi_row[j] - in.rho * (in.a_row[j] - lambda[j]);
-      }
-      return g;
-    };
-    auto project = [&](const Vec& x) { return project_simplex(x, in.arrival); };
-    const Vec solution = run_projected_gradient(Vec(warm_start), gradient,
-                                                project, lipschitz, options);
-    std::copy(solution.begin(), solution.end(), out.begin());
-    return;
-  }
-
-  // FISTA (default, and the Exact fallback for non-quadratic utilities):
-  // allocation-free against the workspace. The gradient writes into a
-  // workspace buffer that never aliases the inputs, so the pointers are
-  // hoisted with UFC_RESTRICT and both loops (one reduction, one branchless
-  // elementwise write) auto-vectorize; the arithmetic order matches the
-  // span-indexed form bit for bit.
-  auto gradient_into = [&](const Vec& lambda, Vec& g) {
-    const double* UFC_RESTRICT lam = lambda.data();
-    const double* UFC_RESTRICT lat = in.latency_row.data();
-    const double* UFC_RESTRICT varphi = in.varphi_row.data();
-    const double* UFC_RESTRICT a = in.a_row.data();
-    double* UFC_RESTRICT grad = g.data();
-    double weighted = 0.0;
-    for (std::size_t j = 0; j < n; ++j) weighted += lam[j] * lat[j];
-    const double avg_latency = weighted / in.arrival;
-    const double uprime = in.utility->derivative(avg_latency);
-    for (std::size_t j = 0; j < n; ++j) {
-      grad[j] = -in.latency_weight * uprime * lat[j] - varphi[j] -
-                in.rho * (a[j] - lam[j]);
-    }
+  const double weight = in.latency_weight / in.rho;
+  // Each probe leaves lambda(s) in out; monotone_root returns at its last
+  // probe, so out ends at the root.
+  auto gap = [&](double s) {
+    const double pull = weight * in.utility->derivative(s / in.arrival);
+    for (std::size_t j = 0; j < n; ++j) out[j] = base[j] + pull * lat[j];
+    project_simplex_into(out, in.arrival, out, ws.scratch);
+    double routed = 0.0;
+    for (std::size_t j = 0; j < n; ++j) routed += out[j] * lat[j];
+    return s - routed;
   };
-  auto project_in_place = [&](Vec& x) {
-    if (options.projection == SimplexProjection::Condat) {
-      project_simplex_condat_into(x.span(), in.arrival, x.span(),
-                                  ws.sort_scratch);
-    } else {
-      project_simplex_into(x.span(), in.arrival, x.span(), ws.sort_scratch);
-    }
-  };
-  fista_minimize_ws(warm_start, gradient_into, project_in_place, lipschitz,
-                    options.fista, ws.fista);
-  std::copy(ws.fista.x.begin(), ws.fista.x.end(), out.begin());
-}
-
-// ufc-lint: allow(expects-guard) — thin wrapper; solve_lambda_block_into
-// guards every input before any work happens.
-Vec solve_lambda_block(const LambdaBlockInputs& in, const Vec& warm_start,
-                       const InnerSolverOptions& options) {
-  Vec out(in.latency_row.size());
-  BlockWorkspace ws;
-  solve_lambda_block_into(in, warm_start.span(), out.span(), ws, options);
-  return out;
+  monotone_root(gap, in.arrival * lat_min, in.arrival * lat_max);
 }
 
 double solve_mu_block(const MuBlockInputs& in) {
@@ -167,13 +79,12 @@ double solve_nu_block(const NuBlockInputs& in) {
 
   // Derivative of V(kappa nu) + (p - phi) nu + (rho/2)(c - nu)^2:
   //   h(nu) = kappa V'(kappa nu) + p - phi + rho (nu - c),
-  // monotone nondecreasing (V convex), so bisection finds the minimizer.
+  // monotone nondecreasing (V convex), so its root is the minimizer.
   auto h = [&](double nu) {
     return kappa * in.emission_cost->derivative(kappa * nu) + in.grid_price -
            in.phi + in.rho * (nu - c);
   };
 
-  if (h(0.0) >= 0.0) return 0.0;
   // h(hi) > 0 for hi = max(0, c + (phi - p)/rho) + 1 because V' >= 0.
   const double hi = std::max(0.0, c + (in.phi - in.grid_price) / in.rho) + 1.0;
   return monotone_root(h, 0.0, hi);
@@ -182,102 +93,33 @@ double solve_nu_block(const NuBlockInputs& in) {
 void solve_a_block_into(const ABlockInputs& in,
                         std::span<const double> warm_start,
                         std::span<double> out, BlockWorkspace& ws,
-                        const InnerSolverOptions& options) {
+                        const InnerSolverOptions& /*options*/) {
   UFC_EXPECTS(in.rho > 0.0);
   UFC_EXPECTS(in.capacity >= 0.0);
   const std::size_t m = in.varphi_col.size();
+  UFC_EXPECTS(m > 0);
   UFC_EXPECTS(in.lambda_col.size() == m);
   UFC_EXPECTS(warm_start.size() == m);
   UFC_EXPECTS(out.size() == m);
 
-  // Exact path: the a sub-problem is always an identity-plus-rank-one QP,
-  //   (rho beta^2 / 2)(1 . a)^2 + (rho/2)||a||^2 + g . a,  with
-  //   g_i = phi beta + varphi_i + rho beta (alpha - mu - nu) - rho lambda_i.
-  if (options.method == InnerMethod::Exact) {
-    const double shift = in.alpha - in.mu - in.nu;
-    RankOneQp& qp = ws.qp;
-    qp.curvature = in.rho * in.beta * in.beta;
-    qp.direction.resize(m);
-    qp.direction.fill(1.0);
-    qp.tikhonov = in.rho;
-    qp.linear.resize(m);
-    for (std::size_t i = 0; i < m; ++i)
-      qp.linear[i] = in.phi * in.beta + in.varphi_col[i] +
-                     in.rho * in.beta * shift - in.rho * in.lambda_col[i];
-    const Vec solution = solve_rank_one_qp_capped(qp, in.capacity);
-    std::copy(solution.begin(), solution.end(), out.begin());
-    return;
-  }
-
-  // Gradient of
-  //   f(a) = phi beta sum_i a_i + sum_i varphi_i a_i
-  //          + (rho/2)(alpha + beta sum_i a_i - mu - nu)^2
-  //          + (rho/2) sum_i (a_i - lambda_i)^2:
-  //   df/da_i = phi beta + varphi_i + rho beta (alpha + beta S - mu - nu)
-  //             + rho (a_i - lambda_i),  S = sum_i a_i.
-
-  // Hessian = rho (I + beta^2 1 1^T)  =>  L = rho (1 + beta^2 M).
-  const double lipschitz =
-      in.rho * (1.0 + in.beta * in.beta * static_cast<double>(m));
-
-  if (options.method == InnerMethod::ProjectedGradient) {
-    auto gradient = [&](const Vec& a) {
-      double a_sum = 0.0;
-      for (double x : a) a_sum += x;
-      const double balance = in.alpha + in.beta * a_sum - in.mu - in.nu;
-      Vec g(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        g[i] = in.phi * in.beta + in.varphi_col[i] +
-               in.rho * in.beta * balance + in.rho * (a[i] - in.lambda_col[i]);
-      }
-      return g;
-    };
-    auto project = [&](const Vec& x) {
-      return project_capped_simplex(x, in.capacity);
-    };
-    const Vec solution = run_projected_gradient(Vec(warm_start), gradient,
-                                                project, lipschitz, options);
-    std::copy(solution.begin(), solution.end(), out.begin());
-    return;
-  }
-
-  // FISTA (default): allocation-free against the workspace. Same
-  // restrict-hoisting as the lambda block; bit-identical arithmetic.
-  auto gradient_into = [&](const Vec& a, Vec& g) {
-    const double* UFC_RESTRICT av = a.data();
-    const double* UFC_RESTRICT varphi = in.varphi_col.data();
-    const double* UFC_RESTRICT lam = in.lambda_col.data();
-    double* UFC_RESTRICT grad = g.data();
-    double a_sum = 0.0;
-    for (std::size_t i = 0; i < m; ++i) a_sum += av[i];
-    const double balance = in.alpha + in.beta * a_sum - in.mu - in.nu;
-    for (std::size_t i = 0; i < m; ++i) {
-      grad[i] = in.phi * in.beta + varphi[i] + in.rho * in.beta * balance +
-                in.rho * (av[i] - lam[i]);
-    }
+  // a(t) = P(base - beta^2 t), base = lambda - varphi / rho - shift.
+  const double shift = in.beta * (in.phi / in.rho + in.alpha - in.mu - in.nu);
+  ws.base.resize(m);
+  double* UFC_RESTRICT base = ws.base.data();
+  const double* UFC_RESTRICT lam = in.lambda_col.data();
+  const double* UFC_RESTRICT varphi = in.varphi_col.data();
+  for (std::size_t i = 0; i < m; ++i)
+    base[i] = lam[i] - varphi[i] / in.rho - shift;
+  const double beta_sq = in.beta * in.beta;
+  // As in the lambda block, out ends at the root's projection.
+  auto gap = [&](double t) {
+    for (std::size_t i = 0; i < m; ++i) out[i] = base[i] - beta_sq * t;
+    project_capped_simplex_into(out, in.capacity, out, ws.scratch);
+    double assigned = 0.0;
+    for (std::size_t i = 0; i < m; ++i) assigned += out[i];
+    return t - assigned;
   };
-  auto project_in_place = [&](Vec& x) {
-    if (options.projection == SimplexProjection::Condat) {
-      project_capped_simplex_condat_into(x.span(), in.capacity, x.span(),
-                                         ws.sort_scratch);
-    } else {
-      project_capped_simplex_into(x.span(), in.capacity, x.span(),
-                                  ws.sort_scratch);
-    }
-  };
-  fista_minimize_ws(warm_start, gradient_into, project_in_place, lipschitz,
-                    options.fista, ws.fista);
-  std::copy(ws.fista.x.begin(), ws.fista.x.end(), out.begin());
-}
-
-// ufc-lint: allow(expects-guard) — thin wrapper; solve_a_block_into guards
-// every input before any work happens.
-Vec solve_a_block(const ABlockInputs& in, const Vec& warm_start,
-                  const InnerSolverOptions& options) {
-  Vec out(in.varphi_col.size());
-  BlockWorkspace ws;
-  solve_a_block_into(in, warm_start.span(), out.span(), ws, options);
-  return out;
+  monotone_root(gap, 0.0, in.capacity);
 }
 
 // ufc-lint: allow(expects-guard) — pure arithmetic on scalars already

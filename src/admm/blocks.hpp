@@ -15,54 +15,26 @@
 #include <span>
 #include <vector>
 
-#include "math/projections.hpp"
 #include "math/vector.hpp"
 #include "model/emission.hpp"
 #include "model/utility.hpp"
-#include "opt/fista.hpp"
-#include "opt/rank_one_qp.hpp"
 
 namespace ufc::admm {
 
-/// How the lambda and a sub-problems are minimized.
-enum class InnerMethod {
-  Fista,              ///< Accelerated projected gradient (default).
-  ProjectedGradient,  ///< Plain PG (ablation baseline).
-  /// Exact identity-plus-rank-one QP solve (opt/rank_one_qp.hpp) — machine
-  /// precision, no iteration tuning. Applies to the a block always and to
-  /// the lambda block when the utility is the paper's quadratic; other
-  /// utility shapes fall back to FISTA.
-  Exact,
-};
+/// Empty: the lambda and a blocks are solved exactly, with nothing to tune.
+/// Exists only because perfbench/src/layers.cpp passes
+/// AdmgOptions::inner to the *_into block solvers.
+struct InnerSolverOptions {};
 
-/// Inner-solver configuration shared by the lambda and a blocks.
-struct InnerSolverOptions {
-  FistaOptions fista;
-  InnerMethod method = InnerMethod::Fista;
-  /// Simplex-projection algorithm used by the FISTA hot path (the PG
-  /// ablation keeps the sort-based reference; Exact solves a QP instead).
-  /// SortThreshold reproduces the pinned hexfloat baselines; Condat is the
-  /// O(n) scaling choice and agrees with the reference to a few ulps of tau.
-  SimplexProjection projection = SimplexProjection::SortThreshold;
-};
-
-/// Reusable scratch for the *_into block solvers: FISTA iterate buffers, the
-/// simplex projection's scratch and the exact QP's coefficient vectors.
-/// One instance per worker thread; every buffer reaches its steady size
-/// after the first solve and is never reallocated again.
-///
-/// sort_scratch ownership (audited): the buffer is OWNED here and only
-/// borrowed by project_*_into / project_*_condat_into, which assign or
-/// resize it to the input length per call. A worker alternates between
-/// lambda rows (length N) and a columns (length M); std::vector::assign
-/// never releases capacity, so the capacity climbs monotonically to
-/// max(M, N) during the first engine step and no reallocation happens on
-/// any later call — there is deliberately no shrinking, because the next
-/// solve of either length reuses the same allocation.
+/// Reusable scratch for the *_into block solvers, one instance per worker
+/// thread. Both buffers reach their steady size on the first solve at the
+/// larger of the row and column lengths and are never reallocated after:
+/// Vec::resize and std::vector::resize keep capacity when shrinking.
 struct BlockWorkspace {
-  FistaWorkspace fista;
-  std::vector<double> sort_scratch;
-  RankOneQp qp;
+  /// The part of the projected point that no probe changes.
+  Vec base;
+  /// The simplex projection's candidate lists.
+  std::vector<double> scratch;
 };
 
 // ---------------------------------------------------------------------------
@@ -70,6 +42,13 @@ struct BlockWorkspace {
 //
 //   min_{lambda_i in simplex(A_i)}  -w A_i u(l_i)
 //        - sum_j varphi_ij lambda_ij + (rho/2) sum_j (a_ij - lambda_ij)^2
+//
+// The objective sees lambda_i through s = L_i . lambda_i = A_i l_i only, so
+// the minimizer is
+//   lambda(s) = P_simplex(A_i)(a_i + varphi_i/rho + (w/rho) u'(s/A_i) L_i)
+// at the s with L_i . lambda(s) = s. For concave u the left side falls as s
+// grows, so the root is unique on [A_i min L_i, A_i max L_i] and
+// monotone_root (opt/scalar.hpp) finds it with one projection per probe.
 
 // The row/column inputs are non-owning views (the solver hands out
 // Mat::row_span / workspace columns without copying): the backing storage
@@ -84,17 +63,13 @@ struct LambdaBlockInputs {
   const UtilityFunction* utility = nullptr; ///< non-owning, non-null.
 };
 
-/// Solves the per-front-end sub-problem; `warm_start` seeds the inner solver.
-Vec solve_lambda_block(const LambdaBlockInputs& in, const Vec& warm_start,
-                       const InnerSolverOptions& options);
-
-/// Allocation-free variant writing the minimizer into `out` (sized N). With
-/// the default FISTA method no heap allocation happens once `ws` is warm;
-/// iterates are bit-identical to solve_lambda_block.
+/// Writes the exact minimizer into `out` (sized N; it must not alias the
+/// inputs). No heap allocation once `ws` is warm. The solve is exact from
+/// any start, so `warm_start` is only checked for size.
 void solve_lambda_block_into(const LambdaBlockInputs& in,
                              std::span<const double> warm_start,
                              std::span<double> out, BlockWorkspace& ws,
-                             const InnerSolverOptions& options);
+                             const InnerSolverOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Step 1.2 — mu-minimization, one scalar per datacenter j (eq. (18));
@@ -119,8 +94,8 @@ double solve_mu_block(const MuBlockInputs& in);
 //   min_{nu >= 0}  V(kappa * nu) + (p_j - phi_j) nu + (rho/2)(c - nu)^2,
 //   c = alpha_j + beta_j sum_i a_ij^k - mu~_j.
 //
-// Solved by bisection on the monotone derivative, so any convex V works
-// (affine, capped, stepped, quadratic).
+// Solved by monotone_root on the nondecreasing derivative, so any convex V
+// works (affine, capped, stepped, quadratic).
 
 struct NuBlockInputs {
   double alpha = 0.0;
@@ -143,6 +118,13 @@ double solve_nu_block(const NuBlockInputs& in);
 //     phi_j beta_j sum_i a_ij + sum_i varphi_ij a_ij
 //     + (rho/2)(alpha_j + beta_j sum_i a_ij - mu~_j - nu~_j)^2
 //     + (rho/2) sum_i (a_ij - lambda~_ij)^2
+//
+// The coupling term sees a_j through t = sum_i a_ij only, so the minimizer is
+//   a(t) = P_{sum <= S_j}(lambda~_j - varphi_j / rho
+//                         - beta_j (phi_j / rho + alpha_j - mu~_j - nu~_j)
+//                         - beta_j^2 t)
+// (the scalar terms shift every entry) at the t with sum_i a_i(t) = t: one
+// projection per probe of monotone_root on [0, S_j].
 
 // Column inputs are non-owning views; see LambdaBlockInputs.
 struct ABlockInputs {
@@ -157,15 +139,12 @@ struct ABlockInputs {
   double capacity = 0.0;               ///< S_j, servers.
 };
 
-Vec solve_a_block(const ABlockInputs& in, const Vec& warm_start,
-                  const InnerSolverOptions& options);
-
-/// Allocation-free variant writing the minimizer into `out` (sized M);
-/// bit-identical to solve_a_block. See solve_lambda_block_into.
+/// Writes the exact minimizer into `out` (sized M); see
+/// solve_lambda_block_into.
 void solve_a_block_into(const ABlockInputs& in,
                         std::span<const double> warm_start,
                         std::span<double> out, BlockWorkspace& ws,
-                        const InnerSolverOptions& options);
+                        const InnerSolverOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Step 1.5 — dual updates.

@@ -6,8 +6,8 @@
 
 #include "math/dykstra.hpp"
 #include "math/projections.hpp"
-#include "opt/projected_gradient.hpp"
 #include "opt/scalar.hpp"
+#include "opt/subgradient.hpp"
 #include "util/contract.hpp"
 
 namespace ufc::admm {

@@ -234,7 +234,6 @@ void InProcessExecutor::reset() {
     ws.sub_a.resize(max_dim);
     ws.sub_varphi.resize(max_dim);
     ws.sub_lambda.resize(max_dim);
-    ws.sub_warm.resize(max_dim);
     ws.sub_out.resize(max_dim);
     ws.support_scratch.reserve(m_);
   }
@@ -472,8 +471,7 @@ void InProcessExecutor::step(int /*iteration*/) {
             in.latency_weight = problem_.latency_weight;
             in.utility = problem_.utility.get();
             solve_lambda_block_into(in, lambda_.row_span(i),
-                                    lambda_tilde_.row_span(i), ws,
-                                    options_.inner);
+                                    lambda_tilde_.row_span(i), ws);
           }
         });
   } else {
@@ -616,8 +614,7 @@ void InProcessExecutor::run_full_datacenter_pass() {
             in.lambda_col = lambda_col;
             in.rho = rho;
             in.capacity = problem_.datacenters[j].servers;
-            solve_a_block_into(in, a_col, ws.a_new.span(), ws.blocks,
-                               options_.inner);
+            solve_a_block_into(in, a_col, ws.a_new.span(), ws.blocks);
           }
 
           // 1.5 dual predictions (use a~, lambda~, mu~, nu~).
@@ -697,8 +694,8 @@ void InProcessExecutor::run_full_datacenter_pass() {
 // support set only. The restriction is exact for the restricted problem —
 // out-of-support lambda entries are exact zeros, so the latency, dual and
 // proximal terms they would contribute are constants — but the restricted
-// FISTA solve uses the restricted Lipschitz constant, which is why screened
-// iterates are not bit-identical to unscreened ones.
+// solve projects a shorter vector, whose threshold rounds differently, so
+// screened iterates are not bit-identical to unscreened ones.
 void InProcessExecutor::run_screened_lambda_pass() {
   const double rho = options_.rho;
   pool_.parallel_for_chunks(
@@ -725,31 +722,30 @@ void InProcessExecutor::run_screened_lambda_pass() {
             in.a_row = a_.row_span(i);
             in.varphi_row = varphi_.row_span(i);
             solve_lambda_block_into(in, lambda_.row_span(i), out_row,
-                                    ws.blocks, options_.inner);
+                                    ws.blocks);
             continue;
           }
           const std::size_t s = support.size();
           ws.sub_latency.resize(s);
           ws.sub_a.resize(s);
           ws.sub_varphi.resize(s);
-          ws.sub_warm.resize(s);
           ws.sub_out.resize(s);
           const auto lat = problem_.latency_s.row_span(i);
           const auto a_row = a_.row_span(i);
           const auto varphi_row = varphi_.row_span(i);
-          const auto warm_row = lambda_.row_span(i);
           for (std::size_t k = 0; k < s; ++k) {
             const std::size_t j = support[k];
             ws.sub_latency[k] = lat[j];
             ws.sub_a[k] = a_row[j];
             ws.sub_varphi[k] = varphi_row[j];
-            ws.sub_warm[k] = warm_row[j];
           }
           in.latency_row = ws.sub_latency.span();
           in.a_row = ws.sub_a.span();
           in.varphi_row = ws.sub_varphi.span();
-          solve_lambda_block_into(in, ws.sub_warm.span(), ws.sub_out.span(),
-                                  ws.blocks, options_.inner);
+          // The solve is exact from any start, so the output buffer also
+          // serves as the warm start (only its size is read).
+          solve_lambda_block_into(in, ws.sub_out.span(), ws.sub_out.span(),
+                                  ws.blocks);
           for (std::size_t k = 0; k < s; ++k)
             out_row[support[k]] = ws.sub_out[k];
         }
@@ -841,7 +837,7 @@ void InProcessExecutor::run_screened_datacenter_pass() {
             in.rho = rho;
             in.capacity = problem_.datacenters[j].servers;
             solve_a_block_into(in, ws.sub_a.span(), ws.a_new.span(),
-                               ws.blocks, options_.inner);
+                               ws.blocks);
             for (std::size_t k = 0; k < s; ++k) a_tilde_sum += ws.a_new[k];
           }
           const double phi_tilde = update_phi(phi_[j], rho, alpha, beta,

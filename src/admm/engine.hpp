@@ -57,8 +57,9 @@ enum class BlockPinning {
 /// supports; convergence is only ever declared on an iterate produced by a
 /// full pass whose support did not grow (a growing full pass resets that
 /// gate). Screened iterates are NOT bit-identical to unscreened ones — the
-/// restricted inner solves use the restricted Lipschitz constant — but the
-/// fixed point is validated by the same residual gate and the KKT checker.
+/// restricted solves project shorter vectors, which round differently — but
+/// the fixed point is validated by the same residual gate and the KKT
+/// checker.
 struct ActiveSetOptions {
   bool enabled = false;
   /// Period of unrestricted verification passes. 1 = every pass full
@@ -120,6 +121,7 @@ struct AdmgOptions {
   /// false: plain (uncorrected) 4-block ADMM — the ablation the paper's
   /// choice of ADM-G guards against.
   bool gaussian_back_substitution = true;
+  /// Empty; see InnerSolverOptions.
   InnerSolverOptions inner;
   /// Active-set screening (in-process executor only; incompatible with the
   /// straggler model, ignored by the message-passing runtime).
@@ -450,7 +452,7 @@ class InProcessExecutor : public BlockExecutor {
     Vec a_new;  ///< a~ prediction: full column (M) or compact support.
     // Screened-pass gathers: compact views of a row/column restricted to
     // its support set.
-    Vec sub_latency, sub_a, sub_varphi, sub_lambda, sub_warm, sub_out;
+    Vec sub_latency, sub_a, sub_varphi, sub_lambda, sub_out;
     std::vector<std::uint32_t> support_scratch;  ///< Rebuilt column support.
   };
 

@@ -16,14 +16,6 @@ AdmgOptions options_from_config(const Config& config, AdmgOptions defaults) {
       config.get_bool("solver.gaussian_back_substitution",
                       options.gaussian_back_substitution);
   options.threads = config.get_int("solver.threads", options.threads);
-  const std::string projection = config.get_string(
-      "solver.projection",
-      options.inner.projection == SimplexProjection::Condat ? "condat"
-                                                            : "sort");
-  UFC_EXPECTS(projection == "sort" || projection == "condat");
-  options.inner.projection = projection == "condat"
-                                 ? SimplexProjection::Condat
-                                 : SimplexProjection::SortThreshold;
   options.screening.enabled =
       config.get_bool("solver.screening", options.screening.enabled);
   options.screening.full_pass_every = config.get_int(

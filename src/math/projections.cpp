@@ -35,11 +35,11 @@ Vec project_capped_simplex(const Vec& v, double cap) {
 // elements that invalidate the candidate demote the whole active set to a
 // waiting list, revisited once at the end, followed by a pruning sweep that
 // removes elements at or below the final threshold. Exact projection, O(n)
-// expected; tau is accumulated incrementally so it can differ from the
-// sorted-prefix reference by a few ulps.
-void project_simplex_condat_into(std::span<const double> v, double total,
-                                 std::span<double> out,
-                                 std::vector<double>& scratch) {
+// expected; tau is accumulated incrementally, so it can differ from a
+// sorted-prefix computation by a few ulps.
+void project_simplex_into(std::span<const double> v, double total,
+                          std::span<double> out,
+                          std::vector<double>& scratch) {
   UFC_EXPECTS(total >= 0.0);
   UFC_EXPECTS(!v.empty());
   UFC_EXPECTS(out.size() == v.size());
@@ -67,8 +67,11 @@ void project_simplex_condat_into(std::span<const double> v, double total,
       active[active_count++] = y;
     } else {
       // The grown threshold excludes the old candidates; park them for the
-      // cleanup pass and restart the candidate set from this element.
-      for (std::size_t k = 0; k < active_count; ++k)
+      // cleanup pass and restart the candidate set from this element. The
+      // parked block may overlap the active list (waiting_top <
+      // 2 active_count), so copy from the top down: each write lands above
+      // the entry being read, on an entry already copied or a free slot.
+      for (std::size_t k = active_count; k-- > 0;)
         scratch[--waiting_top] = active[k];
       active[0] = y;
       active_count = 1;
@@ -110,21 +113,20 @@ void project_simplex_condat_into(std::span<const double> v, double total,
   for (std::size_t i = 0; i < n; ++i) out[i] = std::max(v[i] - tau, 0.0);
 }
 
-void project_capped_simplex_condat_into(std::span<const double> v, double cap,
-                                        std::span<double> out,
-                                        std::vector<double>& scratch) {
+void project_capped_simplex_into(std::span<const double> v, double cap,
+                                 std::span<double> out,
+                                 std::vector<double>& scratch) {
   UFC_EXPECTS(cap >= 0.0);
   UFC_EXPECTS(out.size() == v.size());
-  // Same addition order as the reference, so the inactive-cap branch (and
-  // the branch decision itself) agrees bitwise with
-  // project_capped_simplex_into.
   double clipped_sum = 0.0;
   for (double x : v) clipped_sum += std::max(x, 0.0);
   if (clipped_sum <= cap) {
     for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::max(v[i], 0.0);
     return;
   }
-  project_simplex_condat_into(v, cap, out, scratch);
+  // The cap binds (the sum constraint's multiplier is positive), so the
+  // projection is the simplex projection at total = cap.
+  project_simplex_into(v, cap, out, scratch);
 }
 
 Vec project_affine_sum(Vec v, double total) {

@@ -6,15 +6,10 @@
 //  - affine sum     {x : sum x = total}              (Dykstra component)
 //  - halfspace      {x : <a, x> <= b}                (Dykstra component)
 //
-// Two simplex algorithms are provided. The classic O(n log n)
-// sort-and-threshold method (Held/Wolfe/Crowder) lives in
-// projections_reference.cpp and is the bit-pinned reference: find tau such
-// that sum max(v_i - tau, 0) = total via a descending sort and prefix scan.
-// Condat's O(n) method (L. Condat, "Fast projection onto the simplex and the
-// l1 ball", Math. Prog. 158, 2016, Alg. 2) computes the same projection with
-// a single filtering scan plus a pruning sweep; tau may differ from the
-// reference by a few ulps because the threshold is accumulated incrementally
-// instead of via a sorted prefix sum. Solvers pick one via SimplexProjection.
+// Both simplex projections use Condat's O(n) method (L. Condat, "Fast
+// projection onto the simplex and the l1 ball", Math. Prog. 158, 2016,
+// Alg. 2): one filtering scan finds the threshold tau with
+// sum max(v_i - tau, 0) = total, without sorting.
 #pragma once
 
 #include <span>
@@ -23,15 +18,6 @@
 #include "math/vector.hpp"
 
 namespace ufc {
-
-/// Which simplex-projection algorithm the block solvers use. Both compute
-/// the exact Euclidean projection onto the same set; they differ in
-/// complexity and in floating-point rounding of the threshold tau (a few
-/// ulps), so only SortThreshold reproduces the pinned hexfloat baselines.
-enum class SimplexProjection {
-  SortThreshold,  ///< O(n log n) sorted-prefix reference (default).
-  Condat,         ///< Condat's O(n) filtering scan.
-};
 
 /// Clamps each entry of v into [lo, hi]. Requires lo <= hi.
 Vec project_box(Vec v, double lo, double hi);
@@ -43,36 +29,16 @@ Vec project_simplex(const Vec& v, double total);
 Vec project_capped_simplex(const Vec& v, double cap);
 
 /// Allocation-free simplex projection writing into `out` (out may alias v).
-/// `sort_scratch` is reused across calls and grows to v.size() once.
-/// Bit-identical to project_simplex on the same inputs. Sort-based
-/// reference implementation (projections_reference.cpp).
+/// `scratch` is reused across calls and grows to v.size() once; the
+/// allocating project_simplex gives the same bits.
 void project_simplex_into(std::span<const double> v, double total,
-                          std::span<double> out,
-                          std::vector<double>& sort_scratch);
+                          std::span<double> out, std::vector<double>& scratch);
 
-/// Allocation-free capped-simplex projection (out may alias v); bit-identical
-/// to project_capped_simplex on the same inputs. Sort-based reference
-/// implementation (projections_reference.cpp).
+/// Allocation-free capped-simplex projection (out may alias v). When the cap
+/// binds it is project_simplex_into at total = cap.
 void project_capped_simplex_into(std::span<const double> v, double cap,
                                  std::span<double> out,
-                                 std::vector<double>& sort_scratch);
-
-/// Condat O(n) simplex projection (out may alias v). Same support and the
-/// same projection as project_simplex_into up to a few ulps of tau; not
-/// bit-identical to the sort-based reference in general. `scratch` is
-/// reused across calls and grows to v.size() once (no sorting happens in
-/// it; the name parallels sort_scratch so BlockWorkspace can share one
-/// buffer between the two algorithms).
-void project_simplex_condat_into(std::span<const double> v, double total,
-                                 std::span<double> out,
                                  std::vector<double>& scratch);
-
-/// Condat O(n) capped-simplex projection (out may alias v). The inactive-cap
-/// branch is bit-identical to the reference; the active-cap branch delegates
-/// to project_simplex_condat_into.
-void project_capped_simplex_condat_into(std::span<const double> v, double cap,
-                                        std::span<double> out,
-                                        std::vector<double>& scratch);
 
 /// Projects v onto the affine set {x : sum x = total}.
 Vec project_affine_sum(Vec v, double total);

@@ -70,7 +70,7 @@ struct UfcProblem {
 
   double total_arrivals() const;
   double total_server_capacity() const;
-  /// Largest entry of the latency matrix (for Lipschitz bounds), seconds.
+  /// Largest entry of the latency matrix, seconds.
   double max_latency_s() const;
 
   /// Request-weighted average latency at front-end i for routing row

@@ -14,10 +14,6 @@ double QuadraticUtility::derivative(double latency_s) const {
   return -2.0 * latency_s;
 }
 
-double QuadraticUtility::max_curvature(double /*latency_max_s*/) const {
-  return 2.0;
-}
-
 std::unique_ptr<UtilityFunction> QuadraticUtility::clone() const {
   return std::make_unique<QuadraticUtility>(*this);
 }
@@ -25,10 +21,6 @@ std::unique_ptr<UtilityFunction> QuadraticUtility::clone() const {
 double LinearUtility::value(double latency_s) const { return -latency_s; }
 
 double LinearUtility::derivative(double /*latency_s*/) const { return -1.0; }
-
-double LinearUtility::max_curvature(double /*latency_max_s*/) const {
-  return 0.0;
-}
 
 std::unique_ptr<UtilityFunction> LinearUtility::clone() const {
   return std::make_unique<LinearUtility>(*this);
@@ -44,11 +36,6 @@ double ExponentialUtility::value(double latency_s) const {
 
 double ExponentialUtility::derivative(double latency_s) const {
   return -std::exp(latency_s / theta_) / theta_;
-}
-
-double ExponentialUtility::max_curvature(double latency_max_s) const {
-  UFC_EXPECTS(latency_max_s >= 0.0);
-  return std::exp(latency_max_s / theta_) / (theta_ * theta_);
 }
 
 std::unique_ptr<UtilityFunction> ExponentialUtility::clone() const {

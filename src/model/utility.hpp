@@ -28,14 +28,6 @@ class UtilityFunction {
   /// u'(l) (any supergradient selection for non-smooth shapes).
   virtual double derivative(double latency_s) const = 0;
 
-  /// sup |u''(l)| over l in [0, latency_max_s]; used to derive exact
-  /// Lipschitz constants for the sub-problem solvers.
-  virtual double max_curvature(double latency_max_s) const = 0;
-
-  /// True iff u(l) = -l^2 exactly, enabling the exact rank-one QP path in
-  /// the lambda sub-problem.
-  virtual bool is_quadratic() const { return false; }
-
   virtual std::string name() const = 0;
   virtual std::unique_ptr<UtilityFunction> clone() const = 0;
 };
@@ -46,8 +38,6 @@ class QuadraticUtility final : public UtilityFunction {
  public:
   double value(double latency_s) const override;
   double derivative(double latency_s) const override;
-  double max_curvature(double latency_max_s) const override;
-  bool is_quadratic() const override { return true; }
   std::string name() const override { return "quadratic"; }
   std::unique_ptr<UtilityFunction> clone() const override;
 };
@@ -57,7 +47,6 @@ class LinearUtility final : public UtilityFunction {
  public:
   double value(double latency_s) const override;
   double derivative(double latency_s) const override;
-  double max_curvature(double latency_max_s) const override;
   std::string name() const override { return "linear"; }
   std::unique_ptr<UtilityFunction> clone() const override;
 };
@@ -69,7 +58,6 @@ class ExponentialUtility final : public UtilityFunction {
   explicit ExponentialUtility(double theta_s);
   double value(double latency_s) const override;
   double derivative(double latency_s) const override;
-  double max_curvature(double latency_max_s) const override;
   std::string name() const override { return "exponential"; }
   std::unique_ptr<UtilityFunction> clone() const override;
 

@@ -48,7 +48,8 @@ void FrontEndAgent::send_proposals(Transport& bus, int iteration) {
   in.rho = config_.protocol.rho;
   in.latency_weight = config_.latency_weight;
   in.utility = config_.utility.get();
-  lambda_tilde_ = admm::solve_lambda_block(in, lambda_, config_.protocol.inner);
+  admm::solve_lambda_block_into(in, lambda_.span(), lambda_tilde_.span(),
+                                blocks_);
 
   for (std::size_t j = 0; j < n_; ++j) {
     Message msg;
@@ -170,6 +171,7 @@ DatacenterAgent::DatacenterAgent(DatacenterLocalConfig config)
   UFC_EXPECTS(config_.emission_cost != nullptr);
   UFC_EXPECTS(!(config_.protocol.pin_mu && config_.protocol.pin_nu));
   a_ = Vec(config_.num_front_ends, 0.0);
+  a_tilde_ = Vec(config_.num_front_ends, 0.0);
   lambda_tilde_cache_ = Vec(config_.num_front_ends, 0.0);
   varphi_cache_ = Vec(config_.num_front_ends, 0.0);
   last_proposal_round_.assign(config_.num_front_ends, -1);
@@ -250,7 +252,7 @@ void DatacenterAgent::process_proposals(Transport& bus, int iteration) {
   a_in.lambda_col = lambda_tilde;
   a_in.rho = rho;
   a_in.capacity = config_.capacity_servers;
-  const Vec a_tilde = admm::solve_a_block(a_in, a_, protocol.inner);
+  admm::solve_a_block_into(a_in, a_.span(), a_tilde_.span(), blocks_);
 
   // Reply the assignments (procedure 4's second half).
   for (std::size_t i = 0; i < m; ++i) {
@@ -259,21 +261,21 @@ void DatacenterAgent::process_proposals(Transport& bus, int iteration) {
     msg.destination = front_end_id(i);
     msg.type = MessageType::RoutingAssignment;
     msg.iteration = iteration;
-    msg.payload = {a_tilde[i]};
+    msg.payload = {a_tilde_[i]};
     bus.send(std::move(msg));
   }
 
   // Procedure 5: local dual update.
   const double phi_tilde =
       admm::update_phi(phi_, rho, config_.alpha_mw, config_.beta_mw,
-                       sum(a_tilde), mu_tilde, nu_tilde);
+                       sum(a_tilde_), mu_tilde, nu_tilde);
 
   // Correction step via the shared GBS helpers (admm/engine.cpp), backward
   // order — the same arithmetic the in-process executor runs on this column.
   const bool gbs = protocol.gaussian_back_substitution;
   const double eps = gbs ? protocol.epsilon : 1.0;
   const admm::ABlockCorrection corr =
-      admm::correct_a_block(a_.span(), a_tilde.span(), eps, gbs);
+      admm::correct_a_block(a_.span(), a_tilde_.span(), eps, gbs);
   admm::correct_sources(phi_, nu_, mu_, phi_tilde, nu_tilde, mu_tilde,
                         config_.beta_mw, corr.delta_sum, eps, gbs,
                         protocol.pin_mu, protocol.pin_nu);

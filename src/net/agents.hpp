@@ -34,7 +34,6 @@ struct ProtocolConfig {
   /// message must arrive with the current iteration number, anything else
   /// is a contract violation.
   bool allow_stale = false;
-  admm::InnerSolverOptions inner;
 };
 
 /// Everything front-end i knows locally.
@@ -109,6 +108,8 @@ class FrontEndAgent {
   std::vector<std::int32_t> last_assignment_round_;
   double last_copy_residual_ = 0.0;
   std::uint64_t stale_assignments_ = 0;
+  /// Scratch of the lambda block solve.
+  admm::BlockWorkspace blocks_;
 };
 
 /// Everything datacenter j knows locally.
@@ -184,6 +185,9 @@ class DatacenterAgent {
   std::vector<std::int32_t> last_proposal_round_;
   double last_balance_residual_ = 0.0;
   std::uint64_t stale_proposals_ = 0;
+  /// This iteration's a-block prediction and the scratch that solves it.
+  Vec a_tilde_;
+  admm::BlockWorkspace blocks_;
 };
 
 }  // namespace ufc::net

@@ -103,7 +103,6 @@ DistributedAdmgRuntime::DistributedAdmgRuntime(const UfcProblem& problem,
   protocol_.pin_mu = admg.pinning == admm::BlockPinning::PinMu;
   protocol_.pin_nu = admg.pinning == admm::BlockPinning::PinNu;
   protocol_.allow_stale = options_.degraded;
-  protocol_.inner = admg.inner;
 
   active_dcs_.resize(problem_.num_datacenters());
   for (std::size_t j = 0; j < active_dcs_.size(); ++j) active_dcs_[j] = j;

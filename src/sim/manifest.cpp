@@ -8,15 +8,6 @@ namespace ufc::sim {
 
 namespace {
 
-const char* inner_method_name(admm::InnerMethod method) {
-  switch (method) {
-    case admm::InnerMethod::Fista: return "fista";
-    case admm::InnerMethod::ProjectedGradient: return "projected_gradient";
-    case admm::InnerMethod::Exact: return "exact";
-  }
-  UFC_ENSURES(false);  // Unreachable: all enumerators handled.
-}
-
 const char* pinning_name(admm::BlockPinning pinning) {
   switch (pinning) {
     case admm::BlockPinning::None: return "none";
@@ -37,8 +28,6 @@ obs::JsonValue admg_options_json(const admm::AdmgOptions& options) {
   out.set("workload_scale", obs::JsonValue(options.workload_scale));
   out.set("gaussian_back_substitution",
           obs::JsonValue(options.gaussian_back_substitution));
-  out.set("inner_method",
-          obs::JsonValue(inner_method_name(options.inner.method)));
   out.set("pinning", obs::JsonValue(pinning_name(options.pinning)));
   out.set("record_trace", obs::JsonValue(options.record_trace));
   out.set("threads", obs::JsonValue(options.threads));

@@ -63,9 +63,6 @@ struct SimulatorOptions {
     admg.tolerance = 3e-3;
     admg.max_iterations = 800;
     admg.record_trace = false;
-    // The exact rank-one QP inner solver is ~2x faster than FISTA at paper
-    // scale and bit-compatible on quadratic-utility problems.
-    admg.inner.method = admm::InnerMethod::Exact;
   }
   admm::AdmgOptions admg;
   /// Simulate every `stride`-th hour (1 = all 168; sweeps use larger

@@ -63,21 +63,6 @@ TEST(AdmgParallel, ReportsIdenticalSerialVsFourThreads) {
   }
 }
 
-TEST(AdmgParallel, ExactInnerMethodAlsoBitIdentical) {
-  const auto problem = testing::make_random_problem(31, 8, 4);
-  AdmgOptions serial_opts = with_threads(1);
-  serial_opts.inner.method = InnerMethod::Exact;
-  AdmgOptions threaded_opts = with_threads(4);
-  threaded_opts.inner.method = InnerMethod::Exact;
-  AdmgSolver serial(problem, serial_opts);
-  AdmgSolver threaded(problem, threaded_opts);
-  for (int k = 0; k < 20; ++k) {
-    serial.step();
-    threaded.step();
-    expect_identical_iterates(serial, threaded);
-  }
-}
-
 TEST(AdmgParallel, PinnedBaselinesBitIdentical) {
   const auto problem = testing::make_tiny_problem();
   for (BlockPinning pinning : {BlockPinning::PinMu, BlockPinning::PinNu}) {

@@ -1,9 +1,9 @@
-// Active-set screening and the Condat projection: the two opt-in fast-path
-// switches must (a) leave the default configuration bit-identical to the
-// pinned hexfloat baselines, (b) degenerate to the exact full iteration when
-// screening runs a full pass every step, and (c) converge to the same
-// optimum as the reference configuration — verified against the reference
-// solve and the first-order (KKT) checker at three problem sizes.
+// Active-set screening: the opt-in fast path must (a) leave the default
+// configuration bit-identical to the pinned hexfloat baselines, (b)
+// degenerate to the exact full iteration when screening runs a full pass
+// every step, and (c) converge to the same optimum as the unscreened
+// solve — verified against the reference solve and the first-order (KKT)
+// checker at three problem sizes.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,6 +14,7 @@
 #include "admm/engine.hpp"
 #include "admm/options.hpp"
 #include "helpers.hpp"
+#include "math/sort_projection.hpp"
 #include "opt/kkt.hpp"
 #include "util/config.hpp"
 #include "util/contract.hpp"
@@ -26,16 +27,16 @@ using ::ufc::testing::make_tiny_problem;
 
 AdmgOptions fast_path_options() {
   AdmgOptions options;
-  options.inner.projection = SimplexProjection::Condat;
   options.screening.enabled = true;
   return options;
 }
 
 /// Validates every lambda row of the solver's next prediction as a
 /// projected-gradient fixed point of its sub-problem (eq. (17)), built from
-/// a snapshot of the (a, varphi) state the step consumes. Catches both a
-/// wrong Condat threshold and an incorrectly screened-out coordinate: the
-/// check runs over the full row, not the support.
+/// a snapshot of the (a, varphi) state the step consumes, projecting with
+/// the test-side sort oracle. Catches both a wrong projection threshold and
+/// an incorrectly screened-out coordinate: the check runs over the full row,
+/// not the support.
 void expect_lambda_rows_kkt_optimal(AdmgSolver& solver) {
   const Mat a_snap = solver.a();
   const Mat varphi_snap = solver.varphi();
@@ -62,7 +63,9 @@ void expect_lambda_rows_kkt_optimal(AdmgSolver& solver) {
                varphi_snap(i, j) - rho * (a_snap(i, j) - x[j]);
       return g;
     };
-    auto project = [&](const Vec& x) { return project_simplex(x, arrival); };
+    auto project = [&](const Vec& x) {
+      return ::ufc::testing::sort_project_simplex(x, arrival);
+    };
     const auto check = check_first_order_optimality(row, gradient, project,
                                                     1e-6, 1e-5, arrival);
     EXPECT_TRUE(check.passed)
@@ -71,23 +74,22 @@ void expect_lambda_rows_kkt_optimal(AdmgSolver& solver) {
 }
 
 TEST(ActiveSetScreening, DefaultOptionsKeepThePinnedConfiguration) {
-  // The bit-pinned baselines (test_engine.cpp) assume the sort projection
-  // and no screening; the fast path must stay opt-in.
+  // The bit-pinned baselines (test_engine.cpp) assume no screening; the
+  // fast path must stay opt-in.
   const AdmgOptions defaults;
-  EXPECT_EQ(defaults.inner.projection, SimplexProjection::SortThreshold);
   EXPECT_FALSE(defaults.screening.enabled);
   EXPECT_GE(defaults.screening.full_pass_every, 1);
 }
 
 TEST(ActiveSetScreening, DefaultSolveStaysBitIdenticalToPinnedBaseline) {
   // Duplicated anchor values from EngineEquivalence.PinnedFullSolveReport:
-  // the screening/Condat machinery must not perturb the default path.
+  // the screening machinery must not perturb the default path.
   AdmgSolver solver(make_tiny_problem(), {});
   const AdmgReport report = solver.solve();
   EXPECT_EQ(report.iterations, 62);
-  EXPECT_EQ(report.breakdown.ufc, -0x1.69eb9643140d8p+4);
-  EXPECT_EQ(report.balance_residual, 0x1.419497d9a6666p-20);
-  EXPECT_EQ(report.copy_residual, 0x1.a48e808p-27);
+  EXPECT_EQ(report.breakdown.ufc, -0x1.69eb964315788p+4);
+  EXPECT_EQ(report.balance_residual, 0x1.419496b9a147bp-20);
+  EXPECT_EQ(report.copy_residual, 0x1.a42bebcp-27);
 }
 
 TEST(ActiveSetScreening, FullPassEveryStepIsBitIdenticalToUnscreened) {
@@ -131,8 +133,8 @@ TEST(ActiveSetScreening, ScreenedSolveMatchesReferenceAtThreeSizes) {
     ASSERT_TRUE(ref.converged) << c.m << "x" << c.n;
     ASSERT_TRUE(scr.converged) << c.m << "x" << c.n;
     // Both runs stop at the shared tolerance; the iterates agree to the
-    // tolerance scale, not bitwise (restricted Lipschitz constants and the
-    // Condat threshold's ulp-level difference reorder the trajectory). The
+    // tolerance scale, not bitwise (the restricted solves project shorter
+    // vectors, which round differently and reorder the trajectory). The
     // solution is in raw workload units, so scale by the total arrivals.
     double total_arrivals = 0.0;
     for (const double a : problem.arrivals) total_arrivals += a;
@@ -229,21 +231,14 @@ TEST(ActiveSetScreening, InvalidFullPassPeriodThrows) {
                ContractViolation);
 }
 
-TEST(ActiveSetScreening, OptionsParseProjectionAndScreeningKeys) {
+TEST(ActiveSetScreening, OptionsParseScreeningKeys) {
   const Config config = Config::parse(
       "[solver]\n"
-      "projection = condat\n"
       "screening = true\n"
       "screening_full_pass_every = 4\n");
   const AdmgOptions options = options_from_config(config, {});
-  EXPECT_EQ(options.inner.projection, SimplexProjection::Condat);
   EXPECT_TRUE(options.screening.enabled);
   EXPECT_EQ(options.screening.full_pass_every, 4);
-}
-
-TEST(ActiveSetScreening, OptionsRejectUnknownProjectionName) {
-  const Config config = Config::parse("[solver]\nprojection = quickselect\n");
-  EXPECT_THROW(options_from_config(config, {}), ContractViolation);
 }
 
 }  // namespace

@@ -1,13 +1,21 @@
-// Per-block sub-problem correctness: each block minimizer is checked against
-// brute force and/or the first-order fixed-point condition on randomized
-// inputs.
+// Per-block sub-problem correctness. The lambda and a blocks are solved
+// exactly, so each minimizer must be a first-order fixed point to within
+// 1e-9 and must match brute force on 2-3 variables, for every utility shape
+// and for the degenerate inputs (zero arrival or capacity, tied latencies,
+// one datacenter or front-end, a capacity that binds with zero multiplier).
+// The fixed-point checks project with the test-side sort oracle
+// (tests/math/sort_projection.hpp), so a block solver and its check never
+// share projection code.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "admm/blocks.hpp"
-#include "math/projections.hpp"
+#include "math/sort_projection.hpp"
 #include "model/emission.hpp"
 #include "model/utility.hpp"
 #include "opt/kkt.hpp"
@@ -16,11 +24,26 @@
 namespace ufc::admm {
 namespace {
 
-InnerSolverOptions tight_inner() {
-  InnerSolverOptions options;
-  options.fista.tolerance = 1e-12;
-  options.fista.max_iterations = 5000;
-  return options;
+using ::ufc::testing::sort_project_capped_simplex;
+using ::ufc::testing::sort_project_simplex;
+
+/// Largest first-order residual an exact block solve may leave.
+constexpr double kExactResidual = 1e-9;
+
+Vec solve_lambda(const LambdaBlockInputs& in) {
+  const std::size_t n = in.latency_row.size();
+  Vec warm(n, 0.0), out(n);
+  BlockWorkspace ws;
+  solve_lambda_block_into(in, warm.span(), out.span(), ws);
+  return out;
+}
+
+Vec solve_a(const ABlockInputs& in) {
+  const std::size_t m = in.varphi_col.size();
+  Vec warm(m, 0.0), out(m);
+  BlockWorkspace ws;
+  solve_a_block_into(in, warm.span(), out.span(), ws);
+  return out;
 }
 
 double lambda_block_objective(const LambdaBlockInputs& in, const Vec& lambda) {
@@ -33,6 +56,45 @@ double lambda_block_objective(const LambdaBlockInputs& in, const Vec& lambda) {
     obj += -in.varphi_row[j] * lambda[j] +
            0.5 * in.rho * (in.a_row[j] - lambda[j]) * (in.a_row[j] - lambda[j]);
   return obj;
+}
+
+/// max |x - P(x - g(x) / rho)| for the lambda sub-problem (eq. (17)).
+double lambda_block_residual(const LambdaBlockInputs& in, const Vec& x) {
+  auto gradient = [&](const Vec& lambda) {
+    double weighted = 0.0;
+    for (std::size_t j = 0; j < lambda.size(); ++j)
+      weighted += lambda[j] * in.latency_row[j];
+    const double uprime = in.utility->derivative(weighted / in.arrival);
+    Vec g(lambda.size());
+    for (std::size_t j = 0; j < lambda.size(); ++j)
+      g[j] = -in.latency_weight * uprime * in.latency_row[j] -
+             in.varphi_row[j] - in.rho * (in.a_row[j] - lambda[j]);
+    return g;
+  };
+  auto project = [&](const Vec& v) {
+    return sort_project_simplex(v, in.arrival);
+  };
+  return check_first_order_optimality(x, gradient, project, 1.0 / in.rho,
+                                      kExactResidual)
+      .residual;
+}
+
+/// The three utility shapes of model/utility.hpp.
+std::vector<std::shared_ptr<const UtilityFunction>> every_utility() {
+  return {std::make_shared<QuadraticUtility>(),
+          std::make_shared<LinearUtility>(),
+          std::make_shared<ExponentialUtility>(0.02)};
+}
+
+void expect_in_simplex(const Vec& x, double total) {
+  double sum = 0.0;
+  for (const double v : x) {
+    EXPECT_GE(v, 0.0);
+    sum += v;
+  }
+  // The projected point's entries reach (w / rho) |u'| L, far above the
+  // total, so the threshold carries rounding of that size.
+  EXPECT_NEAR(sum, total, 1e-10 * std::max(1.0, total));
 }
 
 TEST(LambdaBlock, TwoDatacenterBruteForce) {
@@ -48,8 +110,8 @@ TEST(LambdaBlock, TwoDatacenterBruteForce) {
   in.latency_weight = 10.0;
   in.utility = &utility;
 
-  const Vec solution = solve_lambda_block(in, Vec{0.5, 0.5}, tight_inner());
-  EXPECT_NEAR(solution[0] + solution[1], 1.0, 1e-9);
+  const Vec solution = solve_lambda(in);
+  EXPECT_NEAR(solution[0] + solution[1], 1.0, 1e-12);
 
   double best = 1e100, best_x = 0.0;
   for (int k = 0; k <= 100000; ++k) {
@@ -61,7 +123,36 @@ TEST(LambdaBlock, TwoDatacenterBruteForce) {
     }
   }
   EXPECT_NEAR(solution[0], best_x, 1e-4);
-  EXPECT_LE(lambda_block_objective(in, solution), best + 1e-9);
+  EXPECT_LE(lambda_block_objective(in, solution), best + 1e-10);
+}
+
+TEST(LambdaBlock, ThreeDatacenterBruteForceForEveryUtility) {
+  // A grid over the 2-simplex never beats the exact solve.
+  const Vec latency{0.004, 0.021, 0.038}, a_row{0.5, 0.2, 0.3},
+      varphi_row{-0.01, 0.03, 0.02};
+  for (const auto& utility : every_utility()) {
+    LambdaBlockInputs in;
+    in.arrival = 1.5;
+    in.latency_row = latency.span();
+    in.a_row = a_row.span();
+    in.varphi_row = varphi_row.span();
+    in.rho = 2.0;
+    in.latency_weight = 40.0;
+    in.utility = utility.get();
+    const Vec solution = solve_lambda(in);
+    expect_in_simplex(solution, in.arrival);
+    const double f_star = lambda_block_objective(in, solution);
+    constexpr int kSteps = 300;
+    for (int p = 0; p <= kSteps; ++p) {
+      for (int q = 0; p + q <= kSteps; ++q) {
+        const double x0 = in.arrival * p / kSteps;
+        const double x1 = in.arrival * q / kSteps;
+        const Vec x{x0, x1, in.arrival - x0 - x1};
+        ASSERT_GE(lambda_block_objective(in, x), f_star - 1e-10)
+            << utility->name() << " beaten at " << p << "," << q;
+      }
+    }
+  }
 }
 
 TEST(LambdaBlock, ZeroArrivalReturnsZeros) {
@@ -73,7 +164,7 @@ TEST(LambdaBlock, ZeroArrivalReturnsZeros) {
   in.a_row = a_row.span();
   in.varphi_row = varphi_row.span();
   in.utility = &utility;
-  const Vec solution = solve_lambda_block(in, Vec{0.0, 0.0}, tight_inner());
+  const Vec solution = solve_lambda(in);
   EXPECT_DOUBLE_EQ(solution[0], 0.0);
   EXPECT_DOUBLE_EQ(solution[1], 0.0);
 }
@@ -81,8 +172,10 @@ TEST(LambdaBlock, ZeroArrivalReturnsZeros) {
 class LambdaBlockProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LambdaBlockProperty, SatisfiesFirstOrderConditions) {
+  // One random front-end, solved for every utility shape as drawn and in
+  // three degenerate variants: tied latencies, a single datacenter, and no
+  // arrivals.
   Rng rng(GetParam());
-  QuadraticUtility utility;
   const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform_int(0, 4));
   Vec latency(n), a_row(n), varphi_row(n);
   for (std::size_t j = 0; j < n; ++j) {
@@ -90,30 +183,34 @@ TEST_P(LambdaBlockProperty, SatisfiesFirstOrderConditions) {
     a_row[j] = rng.uniform(0.0, 1.0);
     varphi_row[j] = rng.uniform(-0.5, 0.5);
   }
-  LambdaBlockInputs in;
-  in.arrival = rng.uniform(0.2, 3.0);
-  in.latency_row = latency.span();
-  in.a_row = a_row.span();
-  in.varphi_row = varphi_row.span();
-  in.rho = rng.uniform(0.1, 20.0);
-  in.latency_weight = 10.0;
-  in.utility = &utility;
+  const Vec tied(n, latency[0]);
+  const double arrival = rng.uniform(0.2, 3.0);
+  const double rho = rng.uniform(0.1, 20.0);
+  // Normalized workload units put w in the thousands (ADM-G's sigma).
+  const double weight = rng.uniform(1.0, 1e3);
 
-  const Vec solution = solve_lambda_block(in, Vec(n, 0.0), tight_inner());
+  for (const auto& utility : every_utility()) {
+    for (const char* variant : {"drawn", "tied", "single", "idle"}) {
+      const std::string shape = variant;
+      const std::size_t width = shape == "single" ? 1 : n;
+      LambdaBlockInputs in;
+      in.arrival = shape == "idle" ? 0.0 : arrival;
+      in.latency_row =
+          (shape == "tied" ? tied.span() : latency.span()).first(width);
+      in.a_row = a_row.span().first(width);
+      in.varphi_row = varphi_row.span().first(width);
+      in.rho = rho;
+      in.latency_weight = weight;
+      in.utility = utility.get();
 
-  auto gradient = [&](const Vec& lambda) {
-    const double avg_latency = dot(lambda, latency) / in.arrival;
-    const double uprime = utility.derivative(avg_latency);
-    Vec g(n);
-    for (std::size_t j = 0; j < n; ++j)
-      g[j] = -in.latency_weight * uprime * in.latency_row[j] -
-             in.varphi_row[j] - in.rho * (in.a_row[j] - lambda[j]);
-    return g;
-  };
-  auto project = [&](const Vec& x) { return project_simplex(x, in.arrival); };
-  const auto check = check_first_order_optimality(solution, gradient, project,
-                                                  1e-7, 1e-6, in.arrival);
-  EXPECT_TRUE(check.passed) << "residual " << check.residual;
+      const Vec solution = solve_lambda(in);
+      expect_in_simplex(solution, in.arrival);
+      if (in.arrival > 0.0) {
+        EXPECT_LE(lambda_block_residual(in, solution), kExactResidual)
+            << utility->name() << " " << shape;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LambdaBlockProperty,
@@ -273,9 +370,62 @@ double a_block_objective(const ABlockInputs& in, const Vec& a) {
   return obj;
 }
 
+/// max |x - P(x - g(x) / rho)| for the a sub-problem (eq. (20)).
+double a_block_residual(const ABlockInputs& in, const Vec& x) {
+  auto gradient = [&](const Vec& a) {
+    double a_sum = 0.0;
+    for (double v : a) a_sum += v;
+    const double balance = in.alpha + in.beta * a_sum - in.mu - in.nu;
+    Vec g(a.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+      g[i] = in.phi * in.beta + in.varphi_col[i] + in.rho * in.beta * balance +
+             in.rho * (a[i] - in.lambda_col[i]);
+    return g;
+  };
+  auto project = [&](const Vec& v) {
+    return sort_project_capped_simplex(v, in.capacity);
+  };
+  return check_first_order_optimality(x, gradient, project, 1.0 / in.rho,
+                                      kExactResidual)
+      .residual;
+}
+
+TEST(ABlock, TwoFrontEndBruteForce) {
+  // A grid over {a >= 0, a_1 + a_2 <= S} never beats the exact solve, with
+  // the cap slack and with it binding.
+  const Vec varphi_col{0.3, -0.2}, lambda_col{0.8, 0.6};
+  for (const double capacity : {5.0, 0.7}) {
+    ABlockInputs in;
+    in.alpha = 0.4;
+    in.beta = 0.6;
+    in.mu = 0.2;
+    in.nu = 0.1;
+    in.phi = -0.5;
+    in.varphi_col = varphi_col.span();
+    in.lambda_col = lambda_col.span();
+    in.rho = 1.5;
+    in.capacity = capacity;
+    const Vec solution = solve_a(in);
+    EXPECT_LE(solution[0] + solution[1], capacity);
+    const double f_star = a_block_objective(in, solution);
+    constexpr int kSteps = 400;
+    for (int p = 0; p <= kSteps; ++p) {
+      for (int q = 0; p + q <= kSteps; ++q) {
+        const Vec x{capacity * p / kSteps, capacity * q / kSteps};
+        ASSERT_GE(a_block_objective(in, x), f_star - 1e-10)
+            << "capacity " << capacity << " beaten at " << p << "," << q;
+      }
+    }
+  }
+}
+
 class ABlockProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ABlockProperty, SatisfiesFirstOrderConditions) {
+  // One random datacenter, solved as drawn and in four degenerate variants:
+  // no capacity, a capacity equal to the column sum of the uncapped
+  // minimizer (binding with a zero multiplier), a single front-end, and no
+  // coupling (beta = 0).
   Rng rng(GetParam() + 7);
   const std::size_t m = 2 + static_cast<std::size_t>(rng.uniform_int(0, 6));
   Vec varphi_col(m), lambda_col(m);
@@ -283,57 +433,56 @@ TEST_P(ABlockProperty, SatisfiesFirstOrderConditions) {
     varphi_col[i] = rng.uniform(-1.0, 1.0);
     lambda_col[i] = rng.uniform(0.0, 1.0);
   }
-  ABlockInputs in;
-  in.alpha = rng.uniform(0.0, 2.0);
-  in.beta = rng.uniform(0.0, 1.0);
-  in.mu = rng.uniform(0.0, 1.0);
-  in.nu = rng.uniform(0.0, 1.0);
-  in.phi = rng.uniform(-3.0, 3.0);
-  in.varphi_col = varphi_col.span();
-  in.lambda_col = lambda_col.span();
-  in.rho = rng.uniform(0.2, 10.0);
-  in.capacity = rng.uniform(0.5, 3.0);
+  ABlockInputs drawn;
+  drawn.alpha = rng.uniform(0.0, 2.0);
+  drawn.beta = rng.uniform(0.0, 1.0);
+  drawn.mu = rng.uniform(0.0, 1.0);
+  drawn.nu = rng.uniform(0.0, 1.0);
+  drawn.phi = rng.uniform(-3.0, 3.0);
+  drawn.varphi_col = varphi_col.span();
+  drawn.lambda_col = lambda_col.span();
+  drawn.rho = rng.uniform(0.2, 10.0);
+  drawn.capacity = rng.uniform(0.5, 3.0);
 
-  const Vec solution = solve_a_block(in, Vec(m, 0.0), tight_inner());
+  ABlockInputs uncapped = drawn;
+  uncapped.capacity = 1e6;
+  double free_sum = 0.0;
+  for (const double x : solve_a(uncapped)) free_sum += x;
 
-  // Feasibility.
-  double total = 0.0;
-  for (double x : solution) {
-    EXPECT_GE(x, -1e-12);
-    total += x;
-  }
-  EXPECT_LE(total, in.capacity + 1e-9);
-
-  // First-order fixed point.
-  auto gradient = [&](const Vec& a) {
-    double a_sum = 0.0;
-    for (double x : a) a_sum += x;
-    const double balance = in.alpha + in.beta * a_sum - in.mu - in.nu;
-    Vec g(m);
-    for (std::size_t i = 0; i < m; ++i)
-      g[i] = in.phi * in.beta + in.varphi_col[i] + in.rho * in.beta * balance +
-             in.rho * (a[i] - in.lambda_col[i]);
-    return g;
-  };
-  auto project = [&](const Vec& x) {
-    return project_capped_simplex(x, in.capacity);
-  };
-  const auto check = check_first_order_optimality(solution, gradient, project,
-                                                  1e-7, 1e-6, in.capacity);
-  EXPECT_TRUE(check.passed) << "residual " << check.residual;
-
-  // Also beat a handful of random feasible points.
-  const double f_star = a_block_objective(in, solution);
-  for (int k = 0; k < 50; ++k) {
-    Vec x(m);
-    double s = 0.0;
-    for (auto& e : x) {
-      e = rng.uniform(0.0, 1.0);
-      s += e;
+  for (const char* variant : {"drawn", "empty", "exact", "single", "flat"}) {
+    const std::string shape = variant;
+    ABlockInputs in = drawn;
+    if (shape == "empty") in.capacity = 0.0;
+    if (shape == "exact") in.capacity = free_sum;
+    if (shape == "single") {
+      in.varphi_col = varphi_col.span().first(1);
+      in.lambda_col = lambda_col.span().first(1);
     }
-    const double scale = rng.uniform(0.0, 1.0) * in.capacity / std::max(s, 1e-12);
-    for (auto& e : x) e *= scale;
-    EXPECT_GE(a_block_objective(in, x), f_star - 1e-8);
+    if (shape == "flat") in.beta = 0.0;
+
+    const Vec solution = solve_a(in);
+    double total = 0.0;
+    for (double x : solution) {
+      EXPECT_GE(x, 0.0) << shape;
+      total += x;
+    }
+    EXPECT_LE(total, in.capacity + 1e-12) << shape;
+    EXPECT_LE(a_block_residual(in, solution), kExactResidual) << shape;
+
+    // Also beat a handful of random feasible points.
+    const double f_star = a_block_objective(in, solution);
+    for (int k = 0; k < 50; ++k) {
+      Vec x(solution.size());
+      double s = 0.0;
+      for (auto& e : x) {
+        e = rng.uniform(0.0, 1.0);
+        s += e;
+      }
+      const double scale =
+          rng.uniform(0.0, 1.0) * in.capacity / std::max(s, 1e-12);
+      for (auto& e : x) e *= scale;
+      EXPECT_GE(a_block_objective(in, x), f_star - 1e-10) << shape;
+    }
   }
 }
 
@@ -344,82 +493,6 @@ TEST(DualUpdates, MatchDefinitions) {
   EXPECT_DOUBLE_EQ(update_phi(1.0, 2.0, 0.5, 0.2, 3.0, 0.4, 0.1),
                    1.0 + 2.0 * (0.5 + 0.6 - 0.4 - 0.1));
   EXPECT_DOUBLE_EQ(update_varphi(0.5, 2.0, 1.2, 1.0), 0.5 + 2.0 * 0.2);
-}
-
-TEST(InnerSolverAblation, FistaAndPgAgree) {
-  QuadraticUtility utility;
-  const Vec latency{0.01, 0.02, 0.04}, a_row{0.3, 0.3, 0.4},
-      varphi_row{0.05, -0.02, 0.0};
-  LambdaBlockInputs in;
-  in.arrival = 1.0;
-  in.latency_row = latency.span();
-  in.a_row = a_row.span();
-  in.varphi_row = varphi_row.span();
-  in.rho = 2.0;
-  in.latency_weight = 10.0;
-  in.utility = &utility;
-
-  InnerSolverOptions fista = tight_inner();
-  InnerSolverOptions pg = tight_inner();
-  pg.method = InnerMethod::ProjectedGradient;
-  pg.fista.max_iterations = 50000;
-  InnerSolverOptions exact = tight_inner();
-  exact.method = InnerMethod::Exact;
-
-  const Vec a = solve_lambda_block(in, Vec(3, 0.0), fista);
-  const Vec b = solve_lambda_block(in, Vec(3, 0.0), pg);
-  const Vec c = solve_lambda_block(in, Vec(3, 0.0), exact);
-  EXPECT_LT(max_abs_diff(a, b), 1e-7);
-  EXPECT_LT(max_abs_diff(a, c), 1e-7);
-}
-
-TEST(InnerSolverAblation, ExactMatchesFistaOnABlock) {
-  Rng rng(123);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t m = 2 + static_cast<std::size_t>(rng.uniform_int(0, 6));
-    Vec varphi_col(m), lambda_col(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      varphi_col[i] = rng.uniform(-1.0, 1.0);
-      lambda_col[i] = rng.uniform(0.0, 1.0);
-    }
-    ABlockInputs in;
-    in.alpha = rng.uniform(0.0, 2.0);
-    in.beta = rng.uniform(0.0, 1.0);
-    in.mu = rng.uniform(0.0, 1.0);
-    in.nu = rng.uniform(0.0, 1.0);
-    in.phi = rng.uniform(-3.0, 3.0);
-    in.varphi_col = varphi_col.span();
-    in.lambda_col = lambda_col.span();
-    in.rho = rng.uniform(0.2, 10.0);
-    in.capacity = rng.uniform(0.5, 3.0);
-
-    InnerSolverOptions exact = tight_inner();
-    exact.method = InnerMethod::Exact;
-    const Vec a = solve_a_block(in, Vec(m, 0.0), tight_inner());
-    const Vec b = solve_a_block(in, Vec(m, 0.0), exact);
-    EXPECT_LT(max_abs_diff(a, b), 1e-6) << "trial " << trial;
-  }
-}
-
-TEST(InnerSolverAblation, ExactFallsBackForNonQuadraticUtility) {
-  // Exponential utility is not a QP: the exact method must fall back to
-  // FISTA and still produce the right answer.
-  ExponentialUtility utility(0.02);
-  const Vec latency{0.01, 0.03}, a_row{0.5, 0.5}, varphi_row{0.0, 0.0};
-  LambdaBlockInputs in;
-  in.arrival = 1.0;
-  in.latency_row = latency.span();
-  in.a_row = a_row.span();
-  in.varphi_row = varphi_row.span();
-  in.rho = 2.0;
-  in.latency_weight = 10.0;
-  in.utility = &utility;
-
-  InnerSolverOptions exact = tight_inner();
-  exact.method = InnerMethod::Exact;
-  const Vec a = solve_lambda_block(in, Vec(2, 0.0), tight_inner());
-  const Vec b = solve_lambda_block(in, Vec(2, 0.0), exact);
-  EXPECT_LT(max_abs_diff(a, b), 1e-9);
 }
 
 }  // namespace

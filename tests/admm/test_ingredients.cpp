@@ -15,6 +15,7 @@
 #include "admm/ingredients.hpp"
 #include "admm/options.hpp"
 #include "helpers.hpp"
+#include "math/sort_projection.hpp"
 #include "opt/kkt.hpp"
 #include "util/config.hpp"
 #include "util/contract.hpp"
@@ -290,7 +291,9 @@ void expect_lambda_rows_kkt_optimal(AdmgSolver& solver) {
                varphi_snap(i, j) - rho * (a_snap(i, j) - x[j]);
       return g;
     };
-    auto project = [&](const Vec& x) { return project_simplex(x, arrival); };
+    auto project = [&](const Vec& x) {
+      return ::ufc::testing::sort_project_simplex(x, arrival);
+    };
     const auto check = check_first_order_optimality(row, gradient, project,
                                                     1e-6, 1e-5, arrival);
     EXPECT_TRUE(check.passed) << "row " << i << " residual " << check.residual;

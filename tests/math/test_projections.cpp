@@ -7,11 +7,15 @@
 #include <vector>
 
 #include "math/projections.hpp"
+#include "math/sort_projection.hpp"
 #include "util/contract.hpp"
 #include "util/rng.hpp"
 
 namespace ufc {
 namespace {
+
+using ::ufc::testing::sort_project_capped_simplex;
+using ::ufc::testing::sort_project_simplex;
 
 bool in_simplex(const Vec& x, double total, double tol = 1e-9) {
   double s = 0.0;
@@ -172,14 +176,14 @@ TEST(ProjectNonnegative, ClipsNegatives) {
 }
 
 // ---------------------------------------------------------------------------
-// Condat O(n) projection vs. the sort-and-threshold reference.
+// Condat's O(n) projection (the library's) vs. the sort-and-threshold oracle
+// (tests/math/sort_projection.hpp).
 //
 // Both compute the same threshold tau mathematically, but accumulate it in
 // different orders, so the outputs may differ by a few ulps of tau. The
-// tolerance below is the documented bound: 32 ulps of the problem magnitude
-// (docs/PERFORMANCE.md, "Scaling frontier"). Support sets may legitimately
-// differ only for entries within that band of tau, whose values are ~0 in
-// both outputs, so value closeness is the meaningful contract.
+// tolerance below is 32 ulps of the problem magnitude. Support sets may
+// legitimately differ only for entries within that band of tau, whose values
+// are ~0 in both outputs, so value closeness is the meaningful contract.
 
 double ulp_scale(const Vec& v, double total) {
   double scale = std::max(1.0, total);
@@ -190,14 +194,14 @@ double ulp_scale(const Vec& v, double total) {
 Vec condat_simplex(const Vec& v, double total) {
   Vec out(v.size());
   std::vector<double> scratch;
-  project_simplex_condat_into(v.span(), total, out.span(), scratch);
+  project_simplex_into(v.span(), total, out.span(), scratch);
   return out;
 }
 
 Vec condat_capped(const Vec& v, double cap) {
   Vec out(v.size());
   std::vector<double> scratch;
-  project_capped_simplex_condat_into(v.span(), cap, out.span(), scratch);
+  project_capped_simplex_into(v.span(), cap, out.span(), scratch);
   return out;
 }
 
@@ -208,7 +212,7 @@ TEST_P(CondatVsSortProperty, AgreesWithReferenceOnRandomInputs) {
   const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 200));
   const double total = rng.uniform(0.1, 50.0);
   const Vec v = random_vec(rng, n, -20.0, 20.0);
-  const Vec reference = project_simplex(v, total);
+  const Vec reference = sort_project_simplex(v, total);
   const Vec fast = condat_simplex(v, total);
   EXPECT_TRUE(in_simplex(fast, total));
   EXPECT_LE(max_abs_diff(fast, reference), ulp_scale(v, total));
@@ -219,7 +223,7 @@ TEST_P(CondatVsSortProperty, CappedAgreesWithReferenceOnRandomInputs) {
   const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 200));
   const double cap = rng.uniform(0.1, 20.0);
   const Vec v = random_vec(rng, n, -10.0, 10.0);
-  const Vec reference = project_capped_simplex(v, cap);
+  const Vec reference = sort_project_capped_simplex(v, cap);
   const Vec fast = condat_capped(v, cap);
   double s = 0.0;
   for (double x : fast) {
@@ -233,13 +237,67 @@ TEST_P(CondatVsSortProperty, CappedAgreesWithReferenceOnRandomInputs) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CondatVsSortProperty,
                          ::testing::Range<std::uint64_t>(1, 17));
 
+TEST(CondatProjection, DemotionKeepsEveryCandidate) {
+  // Each new element demotes the whole candidate list, and the parked block
+  // overlaps the list it is copied from: copied in the wrong order it loses
+  // the 2 and counts the 1 twice, returning (0, 0, 1, 2) with sum 3.
+  const Vec v{0.0, 1.0, 2.0, 3.0};
+  const Vec fast = condat_simplex(v, 2.0);
+  EXPECT_DOUBLE_EQ(fast[0], 0.0);
+  EXPECT_DOUBLE_EQ(fast[1], 0.0);
+  EXPECT_DOUBLE_EQ(fast[2], 0.5);
+  EXPECT_DOUBLE_EQ(fast[3], 1.5);
+  const Vec capped = condat_capped(v, 2.0);
+  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(capped[i], fast[i]);
+}
+
+TEST(CondatProjection, MatchesSortOracleOnEverySmallIntegerInput) {
+  // Every v in {0..4}^4 with totals 1..3: ties, zeros and repeated
+  // demotions in every order.
+  int cases = 0;
+  for (int code = 0; code < 625; ++code) {
+    Vec v(4);
+    for (int k = 0, rest = code; k < 4; ++k, rest /= 5)
+      v[static_cast<std::size_t>(k)] = rest % 5;
+    for (double total : {1.0, 2.0, 3.0}) {
+      const double bound = ulp_scale(v, total);
+      EXPECT_LE(max_abs_diff(condat_simplex(v, total),
+                             sort_project_simplex(v, total)), bound)
+          << "case " << code << " total " << total;
+      EXPECT_LE(max_abs_diff(condat_capped(v, total),
+                             sort_project_capped_simplex(v, total)), bound)
+          << "case " << code << " cap " << total;
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 1875);
+}
+
+TEST(CondatProjection, MatchesSortOracleOnShortRandomInputs) {
+  // Short vectors are where the parked block overlaps the candidate list.
+  Rng rng(4242);
+  for (std::size_t n = 2; n <= 8; ++n) {
+    for (int trial = 0; trial < 2000; ++trial) {
+      const Vec v = random_vec(rng, n, -5.0, 5.0);
+      const double total = rng.uniform(0.1, 10.0);
+      const double bound = ulp_scale(v, total);
+      ASSERT_LE(max_abs_diff(condat_simplex(v, total),
+                             sort_project_simplex(v, total)), bound)
+          << "n " << n << " trial " << trial;
+      ASSERT_LE(max_abs_diff(condat_capped(v, total),
+                             sort_project_capped_simplex(v, total)), bound)
+          << "n " << n << " trial " << trial;
+    }
+  }
+}
+
 TEST(CondatProjection, AllEntriesTied) {
   // Every entry equal: projection splits the total uniformly. Exercises the
   // pruning sweep with a fully tied active list.
   const std::size_t n = 9;
   const Vec v(n, 3.7);
   const Vec fast = condat_simplex(v, 1.0);
-  const Vec reference = project_simplex(v, 1.0);
+  const Vec reference = sort_project_simplex(v, 1.0);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(fast[i], 1.0 / static_cast<double>(n), 1e-12);
   }
@@ -250,7 +308,7 @@ TEST(CondatProjection, TiedBlocksStraddlingThreshold) {
   // Two tied blocks, one above and one below the threshold.
   const Vec v{5.0, 5.0, 5.0, 1.0, 1.0, 1.0};
   const Vec fast = condat_simplex(v, 2.0);
-  const Vec reference = project_simplex(v, 2.0);
+  const Vec reference = sort_project_simplex(v, 2.0);
   EXPECT_TRUE(in_simplex(fast, 2.0));
   EXPECT_LE(max_abs_diff(fast, reference), ulp_scale(v, 2.0));
   EXPECT_DOUBLE_EQ(fast[3], 0.0);  // below-threshold entries are hard zeros
@@ -259,7 +317,7 @@ TEST(CondatProjection, TiedBlocksStraddlingThreshold) {
 TEST(CondatProjection, AllZeroInput) {
   const Vec v(5, 0.0);
   const Vec fast = condat_simplex(v, 2.0);
-  const Vec reference = project_simplex(v, 2.0);
+  const Vec reference = sort_project_simplex(v, 2.0);
   EXPECT_LE(max_abs_diff(fast, reference), ulp_scale(v, 2.0));
   for (double x : fast) EXPECT_NEAR(x, 0.4, 1e-15);
 }
@@ -294,7 +352,7 @@ TEST(CondatProjection, InPlaceAliasingMatchesOutOfPlace) {
   const Vec expected = condat_simplex(v, 1.0);
   Vec inplace = v;
   std::vector<double> scratch;
-  project_simplex_condat_into(inplace.span(), 1.0, inplace.span(), scratch);
+  project_simplex_into(inplace.span(), 1.0, inplace.span(), scratch);
   for (std::size_t i = 0; i < v.size(); ++i)
     EXPECT_EQ(inplace[i], expected[i]);
 }
@@ -303,10 +361,10 @@ TEST(CondatProjection, ScratchGrowsButNeverShrinks) {
   std::vector<double> scratch;
   Vec out8(8);
   condat_simplex(Vec(3, 1.0), 1.0);  // warm-up irrelevant to scratch below
-  project_simplex_condat_into(Vec(8, 1.0).span(), 1.0, out8.span(), scratch);
+  project_simplex_into(Vec(8, 1.0).span(), 1.0, out8.span(), scratch);
   const std::size_t cap_after_8 = scratch.capacity();
   Vec out3(3);
-  project_simplex_condat_into(Vec(3, 1.0).span(), 1.0, out3.span(), scratch);
+  project_simplex_into(Vec(3, 1.0).span(), 1.0, out3.span(), scratch);
   EXPECT_EQ(scratch.capacity(), cap_after_8);
 }
 

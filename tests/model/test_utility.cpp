@@ -33,7 +33,6 @@ TEST(QuadraticUtility, MatchesPaperEquation) {
   EXPECT_DOUBLE_EQ(u.value(0.0), 0.0);
   EXPECT_DOUBLE_EQ(u.value(0.02), -0.0004);
   EXPECT_DOUBLE_EQ(u.derivative(0.02), -0.04);
-  EXPECT_DOUBLE_EQ(u.max_curvature(1.0), 2.0);
 }
 
 TEST(QuadraticUtility, ShapeProperties) {
@@ -46,7 +45,6 @@ TEST(LinearUtility, Values) {
   LinearUtility u;
   EXPECT_DOUBLE_EQ(u.value(0.03), -0.03);
   EXPECT_DOUBLE_EQ(u.derivative(10.0), -1.0);
-  EXPECT_DOUBLE_EQ(u.max_curvature(100.0), 0.0);
 }
 
 TEST(ExponentialUtility, Values) {
@@ -55,18 +53,6 @@ TEST(ExponentialUtility, Values) {
   EXPECT_NEAR(u.value(0.02), -(std::exp(1.0) - 1.0), 1e-12);
   expect_decreasing_and_concave(u);
   for (double l : {0.0, 0.01, 0.05}) expect_derivative_consistent(u, l);
-}
-
-TEST(ExponentialUtility, CurvatureBoundsSecondDerivative) {
-  ExponentialUtility u(0.02);
-  const double lmax = 0.05;
-  const double bound = u.max_curvature(lmax);
-  for (double l = 0.0; l <= lmax; l += 0.005) {
-    const double h = 1e-5;
-    const double second =
-        (u.value(l + h) - 2.0 * u.value(l) + u.value(l - h)) / (h * h);
-    EXPECT_LE(std::abs(second), bound * (1.0 + 1e-3));
-  }
 }
 
 TEST(ExponentialUtility, NonPositiveThetaThrows) {

@@ -39,43 +39,40 @@ TEST(MonotoneRoot, InvertedBoundsThrow) {
                ContractViolation);
 }
 
-TEST(MinimizeConvexScalar, QuadraticInterior) {
-  // f(x) = (x - 2)^2, f'(x) = 2(x - 2).
-  const double x = minimize_convex_scalar(
-      [](double v) { return 2.0 * (v - 2.0); }, 0.0, 10.0);
-  EXPECT_NEAR(x, 2.0, 1e-9);
-}
-
-TEST(MinimizeConvexScalar, BoundaryMinimum) {
-  // f(x) = x on [1, 5]: minimized at 1.
-  const double x =
-      minimize_convex_scalar([](double) { return 1.0; }, 1.0, 5.0);
-  EXPECT_DOUBLE_EQ(x, 1.0);
-}
-
 TEST(MinimizeConvexScalar, PiecewiseLinearKink) {
-  // f(x) = max(2 - x, 2x - 4): minimized at the kink x = 2.
+  // The nu block and the centralized dispatch minimize a convex scalar as
+  // the root of its derivative. f(x) = max(2 - x, 2x - 4) is minimized at
+  // the kink x = 2, where the derivative jumps unevenly from -1 to 2.
   auto derivative = [](double x) { return x < 2.0 ? -1.0 : 2.0; };
-  const double x = minimize_convex_scalar(derivative, 0.0, 10.0);
+  const double x = monotone_root(derivative, 0.0, 10.0);
   EXPECT_NEAR(x, 2.0, 1e-9);
 }
 
-TEST(GoldenSection, SmoothUnimodal) {
-  const double x = golden_section_minimize(
-      [](double v) { return (v - 1.5) * (v - 1.5) + 3.0; }, -10.0, 10.0);
-  EXPECT_NEAR(x, 1.5, 1e-6);
+TEST(MonotoneRoot, ReturnsItsLastProbe) {
+  // The block solvers rely on this: the by-product of the last probe is the
+  // by-product of the returned root.
+  double last = -1.0;
+  auto g = [&](double x) {
+    last = x;
+    return std::exp(x) - 2.0;
+  };
+  const double root = monotone_root(g, 0.0, 3.0);
+  EXPECT_EQ(root, last);
+  EXPECT_NEAR(root, std::log(2.0), 1e-14);
+  EXPECT_EQ(monotone_root(g, 1.0, 3.0), last);  // g(lo) >= 0
+  EXPECT_EQ(monotone_root(g, -2.0, 0.5), last);  // g(hi) <= 0
 }
 
-TEST(GoldenSection, NonDifferentiableUnimodal) {
-  const double x = golden_section_minimize(
-      [](double v) { return std::abs(v + 2.0); }, -10.0, 10.0);
-  EXPECT_NEAR(x, -2.0, 1e-6);
-}
-
-TEST(GoldenSection, BoundaryMinimum) {
-  const double x =
-      golden_section_minimize([](double v) { return v; }, 2.0, 8.0);
-  EXPECT_NEAR(x, 2.0, 1e-6);
+TEST(MonotoneRoot, LinearPieceNeedsOneSecantStep) {
+  // Both ends, the secant step onto the root, and one probe across it.
+  int probes = 0;
+  auto g = [&](double x) {
+    ++probes;
+    return 3.0 * x - 1.0;
+  };
+  const double root = monotone_root(g, 0.0, 10.0);
+  EXPECT_NEAR(root, 1.0 / 3.0, 1e-14);
+  EXPECT_LE(probes, 4);
 }
 
 }  // namespace
