@@ -1,17 +1,11 @@
-// Solver-ingredient iteration frontier (docs/SOLVER_INGREDIENTS.md).
+// Anderson iteration frontier (docs/SOLVER_INGREDIENTS.md).
 //
-// Runs every registered penalty x acceleration composition to a fixed
-// scaled-residual tolerance at three problem scales and reports
-// iterations-to-tolerance and wall time, normalized against the default
-// fixed + none composition (the bit-pinned reference loop). The table
-// quantifies what each ingredient buys: residual balancing retunes rho on
-// problems where the baked-in value is off, over-relaxation extrapolates
-// along the step direction, and safeguarded Anderson mixing recombines the
-// recent history into a better fixed-point candidate.
-//
-// Every non-default run is cross-checked against the baseline's objective
-// (the compositions must agree on the optimum, not just converge), and the
-// headline rows land in BENCH_ufc.json under `iteration_frontier`
+// Runs the plain ADM-G loop and the safeguarded Anderson mixer to a fixed
+// scaled-residual tolerance at each problem scale and reports
+// iterations-to-tolerance and wall time, normalized against the plain loop
+// (the bit-pinned reference). The accelerated run is cross-checked against
+// the plain run's objective (both must agree on the optimum, not just
+// converge), and the rows land in BENCH_ufc.json under `iteration_frontier`
 // (validated by scripts/check_bench_json.py). Override the sizes with
 // UFC_BENCH_SIZES (see bench_common.hpp).
 #include "bench_common.hpp"
@@ -61,18 +55,10 @@ ufc::UfcProblem random_problem(std::size_t m, std::size_t n) {
   return p;
 }
 
-struct Composition {
-  const char* penalty;
-  const char* acceleration;
-};
-
-/// Default composition first: every later row is normalized against it.
-constexpr Composition kCompositions[] = {
-    {"fixed", "none"},
-    {"residual-balance", "none"},
-    {"fixed", "over-relaxation"},
-    {"fixed", "anderson"},
-    {"residual-balance", "anderson"},
+/// Plain loop first: the accelerated row is normalized against it.
+constexpr ufc::admm::Acceleration kAccelerations[] = {
+    ufc::admm::Acceleration::None,
+    ufc::admm::Acceleration::Anderson,
 };
 
 struct RunResult {
@@ -80,16 +66,14 @@ struct RunResult {
   bool converged = false;
   double wall_seconds = 0.0;
   double ufc = 0.0;
-  double final_penalty = 0.0;
   std::uint64_t fallbacks = 0;
 };
 
-RunResult run_composition(const ufc::UfcProblem& problem,
-                          const Composition& composition,
-                          int max_iterations) {
+RunResult run_acceleration(const ufc::UfcProblem& problem,
+                           ufc::admm::Acceleration acceleration,
+                           int max_iterations) {
   ufc::admm::AdmgOptions options;
-  options.penalty = composition.penalty;
-  options.acceleration = composition.acceleration;
+  options.acceleration = acceleration;
   options.max_iterations = max_iterations;
   options.record_trace = false;
   const auto start = std::chrono::steady_clock::now();
@@ -100,7 +84,6 @@ RunResult run_composition(const ufc::UfcProblem& problem,
   result.converged = report.converged;
   result.wall_seconds = std::chrono::duration<double>(elapsed).count();
   result.ufc = report.breakdown.ufc;
-  result.final_penalty = report.final_penalty;
   result.fallbacks = report.acceleration_fallbacks;
   return result;
 }
@@ -110,8 +93,9 @@ RunResult run_composition(const ufc::UfcProblem& problem,
 int main() {
   using namespace ufc;
 
-  bench::print_header("Solver-ingredient iteration frontier",
-                      "ADM-G compositions (docs/SOLVER_INGREDIENTS.md)");
+  bench::print_header("Anderson iteration frontier",
+                      "ADM-G with and without Anderson mixing "
+                      "(docs/SOLVER_INGREDIENTS.md)");
 
   // Iteration caps sized so the default tolerance is reachable at the two
   // smaller scales on one core; 4096x256 rows are capped (and honestly
@@ -123,28 +107,25 @@ int main() {
   });
 
   CsvWriter csv("ufc_ingredients.csv",
-                {"m", "n", "penalty", "acceleration", "iterations",
-                 "converged", "wall_seconds", "ufc", "final_penalty",
-                 "fallbacks", "speedup_vs_fixed"});
+                {"m", "n", "acceleration", "iterations", "converged",
+                 "wall_seconds", "ufc", "fallbacks", "speedup_vs_none"});
   obs::JsonValue frontier = obs::JsonValue::array();
 
   for (const bench::BenchSize& size : sizes) {
     const UfcProblem problem = random_problem(size.m, size.n);
     std::cout << "-- " << size.m << " front-ends x " << size.n
               << " datacenters (max " << size.iterations << " iterations)\n";
-    TablePrinter table({"penalty", "acceleration", "iters", "converged",
-                        "wall s", "UFC $/h", "final rho", "fallbacks",
-                        "iters speedup"});
+    TablePrinter table({"acceleration", "iters", "converged", "wall s",
+                        "UFC $/h", "fallbacks", "iters speedup"});
 
     double baseline_iterations = 0.0;
     double baseline_ufc = 0.0;
     bool baseline_converged = false;
-    bool first = true;
-    for (const Composition& composition : kCompositions) {
+    for (const admm::Acceleration acceleration : kAccelerations) {
+      const std::string name = admm::to_string(acceleration);
       const RunResult run =
-          run_composition(problem, composition, size.iterations);
-      const bool is_baseline = first;
-      first = false;
+          run_acceleration(problem, acceleration, size.iterations);
+      const bool is_baseline = acceleration == admm::Acceleration::None;
       if (is_baseline) {
         baseline_iterations = static_cast<double>(run.iterations);
         baseline_ufc = run.ufc;
@@ -154,8 +135,8 @@ int main() {
           run.iterations > 0
               ? baseline_iterations / static_cast<double>(run.iterations)
               : 0.0;
-      // Converged compositions share the optimum; a large objective gap
-      // means an ingredient broke the solve rather than accelerated it.
+      // Converged runs share the optimum; a large objective gap means the
+      // mixer broke the solve rather than accelerated it.
       // Truncated runs (either side hit the iteration cap) are reported but
       // not compared — they sit at different points of the same trajectory.
       const double ufc_gap =
@@ -163,36 +144,29 @@ int main() {
           std::max(1.0, std::abs(baseline_ufc));
       if (!is_baseline && baseline_converged && run.converged &&
           ufc_gap > 5e-3) {
-        std::cerr << "objective mismatch for " << composition.penalty << "+"
-                  << composition.acceleration << ": " << run.ufc << " vs "
-                  << baseline_ufc << "\n";
+        std::cerr << "objective mismatch for " << name << ": " << run.ufc
+                  << " vs " << baseline_ufc << "\n";
         return 1;
       }
 
-      table.add_row({std::string(composition.penalty),
-                     std::string(composition.acceleration),
-                     std::to_string(run.iterations),
+      table.add_row({name, std::to_string(run.iterations),
                      run.converged ? "yes" : "no", fixed(run.wall_seconds, 3),
-                     fixed(run.ufc, 2), fixed(run.final_penalty, 3),
-                     std::to_string(run.fallbacks), fixed(speedup, 2)});
-      csv.row_strings({std::to_string(size.m), std::to_string(size.n),
-                       std::string(composition.penalty),
-                       std::string(composition.acceleration),
+                     fixed(run.ufc, 2), std::to_string(run.fallbacks),
+                     fixed(speedup, 2)});
+      csv.row_strings({std::to_string(size.m), std::to_string(size.n), name,
                        std::to_string(run.iterations),
                        run.converged ? "1" : "0",
                        csv_number(run.wall_seconds), csv_number(run.ufc),
-                       csv_number(run.final_penalty),
                        std::to_string(run.fallbacks), csv_number(speedup)});
 
       obs::JsonValue row = obs::JsonValue::object();
       row.set("m", obs::JsonValue(static_cast<std::int64_t>(size.m)));
       row.set("n", obs::JsonValue(static_cast<std::int64_t>(size.n)));
-      row.set("penalty", obs::JsonValue(composition.penalty));
-      row.set("acceleration", obs::JsonValue(composition.acceleration));
+      row.set("acceleration", obs::JsonValue(name));
       row.set("iterations", obs::JsonValue(run.iterations));
       row.set("converged", obs::JsonValue(run.converged));
       row.set("wall_seconds", obs::JsonValue(run.wall_seconds));
-      row.set("speedup_vs_fixed", obs::JsonValue(speedup));
+      row.set("speedup_vs_none", obs::JsonValue(speedup));
       frontier.push_back(std::move(row));
     }
     table.print();

@@ -7,6 +7,8 @@ Two schemas are checked (see docs/OBSERVABILITY.md):
                  obs::update_bench_artifact(). A document with a "benchmarks"
                  list of {"name", "metrics"} entries; names must be unique
                  non-empty snake_case identifiers and metrics a JSON object.
+                 Known sections are checked row by row; the scaling
+                 frontier fails closed on any row with kkt_passed false.
   ufc-run-v1     ufc_cli --metrics manifests — written by obs::RunManifest.
                  Must carry "command" and, when present, a well-formed
                  "metrics" registry snapshot (counters are non-negative
@@ -149,6 +151,9 @@ def check_bench_document(doc, errors: Errors) -> None:
         if "transport_overhead" in metrics:
             check_transport_overhead(metrics["transport_overhead"], errors,
                                      f"{where}.metrics.transport_overhead")
+        if name == "scaling_frontier":
+            check_scaling_frontier(metrics.get("rows"), errors,
+                                   f"{where}.metrics.rows")
         if "iteration_frontier" in metrics:
             check_iteration_frontier(metrics["iteration_frontier"], errors,
                                      f"{where}.metrics.iteration_frontier")
@@ -187,15 +192,14 @@ def check_transport_overhead(section, errors: Errors, where: str) -> None:
                 errors.add(here, f"{key!r} must be a positive number")
 
 
-PENALTIES = {"fixed", "residual-balance"}
-ACCELERATIONS = {"none", "over-relaxation", "anderson"}
+ACCELERATIONS = {"none", "anderson"}
 
 
 def check_iteration_frontier(section, errors: Errors, where: str) -> None:
-    """The bench_ingredients section: rows of {m, n, penalty, acceleration,
-    iterations, converged, wall_seconds, speedup_vs_fixed} comparing solver-
-    ingredient compositions against the fixed+none baseline per size. Every
-    (m, n) size must carry that baseline row, or the speedup column has no
+    """The bench_ingredients section: rows of {m, n, acceleration,
+    iterations, converged, wall_seconds, speedup_vs_none} comparing the
+    Anderson mixer against the plain loop per size. Every (m, n) size must
+    carry the plain ("none") row, or the speedup column has no
     denominator."""
     if not isinstance(section, list) or not section:
         errors.add(where, "must be a non-empty list of rows")
@@ -212,17 +216,13 @@ def check_iteration_frontier(section, errors: Errors, where: str) -> None:
             if not isinstance(value, int) or isinstance(value, bool) or \
                     value <= 0:
                 errors.add(here, f"{key!r} must be a positive integer")
-        penalty = row.get("penalty")
-        if penalty not in PENALTIES:
-            errors.add(here, f"penalty {penalty!r} must be one of "
-                             f"{sorted(PENALTIES)}")
         acceleration = row.get("acceleration")
         if acceleration not in ACCELERATIONS:
             errors.add(here, f"acceleration {acceleration!r} must be one of "
                              f"{sorted(ACCELERATIONS)}")
         if not isinstance(row.get("converged"), bool):
             errors.add(here, '"converged" must be a boolean')
-        for key in ("wall_seconds", "speedup_vs_fixed"):
+        for key in ("wall_seconds", "speedup_vs_none"):
             value = row.get(key)
             if not is_number(value) or \
                     (isinstance(value, (int, float)) and value < 0):
@@ -230,11 +230,44 @@ def check_iteration_frontier(section, errors: Errors, where: str) -> None:
         if isinstance(row.get("m"), int) and isinstance(row.get("n"), int):
             size = (row["m"], row["n"])
             sizes.add(size)
-            if penalty == "fixed" and acceleration == "none":
+            if acceleration == "none":
                 baselines.add(size)
     for size in sorted(sizes - baselines):
-        errors.add(where, f"size {size[0]}x{size[1]} has no fixed+none "
-                          "baseline row")
+        errors.add(where, f"size {size[0]}x{size[1]} has no acceleration = "
+                          "none baseline row")
+
+
+def check_scaling_frontier(section, errors: Errors, where: str) -> None:
+    """The bench_parallel_scaling frontier: rows of {m, n, iterations,
+    default_us_per_iter, fast_us_per_iter, ..., kkt_max_residual,
+    kkt_passed}. Fails closed: a row whose fast-path lambda rows failed the
+    KKT check is an error, not a number to report."""
+    if not isinstance(section, list) or not section:
+        errors.add(where, "must be a non-empty list of rows")
+        return
+    for index, row in enumerate(section):
+        here = f"{where}[{index}]"
+        if not isinstance(row, dict):
+            errors.add(here, "row must be an object")
+            continue
+        for key in ("m", "n", "iterations"):
+            value = row.get(key)
+            if not isinstance(value, int) or isinstance(value, bool) or \
+                    value <= 0:
+                errors.add(here, f"{key!r} must be a positive integer")
+        for key in ("default_us_per_iter", "fast_us_per_iter",
+                    "kkt_max_residual"):
+            value = row.get(key)
+            if not is_number(value) or \
+                    (isinstance(value, (int, float)) and value < 0):
+                errors.add(here, f"{key!r} must be a non-negative number")
+        passed = row.get("kkt_passed")
+        if not isinstance(passed, bool):
+            errors.add(here, '"kkt_passed" must be a boolean')
+        elif not passed:
+            errors.add(here, f"KKT check failed (kkt_max_residual "
+                             f"{row.get('kkt_max_residual')!r}): the fast "
+                             "path's lambda rows are not optimal")
 
 
 def check_controller(section, errors: Errors, where: str) -> None:
@@ -440,54 +473,74 @@ def self_test() -> int:
 
         def test_good_iteration_frontier_passes(self):
             doc = self._frontier_doc([
-                {"m": 64, "n": 16, "penalty": "fixed", "acceleration": "none",
+                {"m": 64, "n": 16, "acceleration": "none",
                  "iterations": 500, "converged": True, "wall_seconds": 1.5,
-                 "speedup_vs_fixed": 1.0},
-                {"m": 64, "n": 16, "penalty": "fixed",
-                 "acceleration": "anderson", "iterations": 200,
-                 "converged": True, "wall_seconds": 0.7,
-                 "speedup_vs_fixed": 2.5}])
+                 "speedup_vs_none": 1.0},
+                {"m": 64, "n": 16, "acceleration": "anderson",
+                 "iterations": 200, "converged": True, "wall_seconds": 0.7,
+                 "speedup_vs_none": 2.5}])
             self.assertEqual(messages_for(doc), [])
 
-        def test_iteration_frontier_unknown_penalty_fails(self):
-            doc = self._frontier_doc([
-                {"m": 64, "n": 16, "penalty": "warm-start",
-                 "acceleration": "none", "iterations": 1, "converged": True,
-                 "wall_seconds": 0.1, "speedup_vs_fixed": 1.0}])
-            self.assertTrue(messages_for(doc))
-
         def test_iteration_frontier_unknown_acceleration_fails(self):
-            doc = self._frontier_doc([
-                {"m": 64, "n": 16, "penalty": "fixed",
-                 "acceleration": "nesterov", "iterations": 1,
-                 "converged": True, "wall_seconds": 0.1,
-                 "speedup_vs_fixed": 1.0}])
-            self.assertTrue(messages_for(doc))
+            for acceleration in ("nesterov", "fixed"):
+                doc = self._frontier_doc([
+                    {"m": 64, "n": 16, "acceleration": acceleration,
+                     "iterations": 1, "converged": True,
+                     "wall_seconds": 0.1, "speedup_vs_none": 1.0}])
+                self.assertTrue(messages_for(doc))
 
         def test_iteration_frontier_missing_baseline_fails(self):
             doc = self._frontier_doc([
-                {"m": 64, "n": 16, "penalty": "fixed",
-                 "acceleration": "anderson", "iterations": 200,
-                 "converged": True, "wall_seconds": 0.7,
-                 "speedup_vs_fixed": 2.5}])
+                {"m": 64, "n": 16, "acceleration": "anderson",
+                 "iterations": 200, "converged": True, "wall_seconds": 0.7,
+                 "speedup_vs_none": 2.5}])
             self.assertTrue(messages_for(doc))
 
         def test_iteration_frontier_nonboolean_converged_fails(self):
             doc = self._frontier_doc([
-                {"m": 64, "n": 16, "penalty": "fixed", "acceleration": "none",
+                {"m": 64, "n": 16, "acceleration": "none",
                  "iterations": 1, "converged": 1, "wall_seconds": 0.1,
-                 "speedup_vs_fixed": 1.0}])
+                 "speedup_vs_none": 1.0}])
             self.assertTrue(messages_for(doc))
 
         def test_iteration_frontier_negative_speedup_fails(self):
             doc = self._frontier_doc([
-                {"m": 64, "n": 16, "penalty": "fixed", "acceleration": "none",
+                {"m": 64, "n": 16, "acceleration": "none",
                  "iterations": 1, "converged": True, "wall_seconds": 0.1,
-                 "speedup_vs_fixed": -2.0}])
+                 "speedup_vs_none": -2.0}])
             self.assertTrue(messages_for(doc))
 
         def test_iteration_frontier_empty_list_fails(self):
             self.assertTrue(messages_for(self._frontier_doc([])))
+
+        SCALING_ROW = {"m": 64, "n": 16, "iterations": 8,
+                       "default_us_per_iter": 40.0, "fast_us_per_iter": 35.0,
+                       "pre_pr_us": 5424.5, "default_speedup": 135.6,
+                       "fast_speedup": 155.0, "kkt_max_residual": 8.8e-16,
+                       "kkt_passed": True}
+
+        def _scaling_doc(self, rows):
+            return {"schema": "ufc-bench-v1",
+                    "benchmarks": [{"name": "scaling_frontier",
+                                    "metrics": {"rows": rows}}]}
+
+        def test_good_scaling_frontier_passes(self):
+            doc = self._scaling_doc([dict(self.SCALING_ROW)])
+            self.assertEqual(messages_for(doc), [])
+
+        def test_scaling_frontier_failed_kkt_fails(self):
+            row = dict(self.SCALING_ROW, kkt_max_residual=1.29e-5,
+                       kkt_passed=False)
+            messages = messages_for(self._scaling_doc([row]))
+            self.assertTrue(any("KKT check failed" in m for m in messages))
+
+        def test_scaling_frontier_missing_kkt_verdict_fails(self):
+            row = dict(self.SCALING_ROW)
+            del row["kkt_passed"]
+            self.assertTrue(messages_for(self._scaling_doc([row])))
+
+        def test_scaling_frontier_empty_rows_fail(self):
+            self.assertTrue(messages_for(self._scaling_doc([])))
 
         def _controller_doc(self, section):
             return {"schema": "ufc-bench-v1",

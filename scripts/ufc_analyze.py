@@ -67,15 +67,6 @@ docs/ARCHITECTURE.md "Layer DAG" and docs/STATIC_ANALYSIS.md):
                     an explicit deadline parameter, and poll's literal
                     infinite timeout (-1) is banned outright: no socket path
                     may wait forever (docs/DISTRIBUTION.md).
-  registry-confinement
-                    Concrete solver-ingredient classes (*Penalty,
-                    *Acceleration, *Method) may be constructed directly only
-                    in src/admm/ingredients.cpp and src/admm/centralized.cpp
-                    — the files that implement and register them. All other
-                    src code composes through the admm::Registry factories
-                    by name (docs/SOLVER_INGREDIENTS.md), so every
-                    composition the solver can run is introspectable and an
-                    unknown name fails listing the registered alternatives.
 
 Suppressing a finding: append `// ufc-analyze: allow(<rule>)` (with a
 reason!) to the offending line, or place it alone on a comment line above.
@@ -1007,44 +998,6 @@ def check_net_io_confinement(tree: Tree) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# registry-confinement
-# ---------------------------------------------------------------------------
-INGREDIENT_HOMES = ("src/admm/ingredients.cpp", "src/admm/centralized.cpp")
-INGREDIENT_CTOR_RE = re.compile(
-    r"\b(?:new\s+|std\s*::\s*make_unique\s*<\s*)"
-    r"([A-Z]\w*(?:Penalty|Acceleration|Method))\b")
-
-
-def check_registry_confinement(tree: Tree) -> list[Finding]:
-    """Concrete solver-ingredient classes (the *Penalty / *Acceleration /
-    *Method policies behind the factory seam) may be constructed directly
-    only in the files that implement and register them. Everything else
-    composes through admm::Registry by name, so every composition the solver
-    can run stays introspectable and an unknown name fails with the
-    registered alternatives listed."""
-    findings = []
-    for source in tree.files.values():
-        if not source.rel.startswith("src/"):
-            continue
-        if source.rel in INGREDIENT_HOMES:
-            continue
-        for i, line in enumerate(source.lines):
-            code = _strip_comments_and_strings(line)
-            m = INGREDIENT_CTOR_RE.search(code)
-            if m and not _suppressed(source.lines, i, "registry-confinement"):
-                findings.append(Finding(
-                    source.rel, i + 1, "registry-confinement",
-                    f"direct construction of `{m.group(1)}` outside "
-                    f"{list(INGREDIENT_HOMES)}: solver ingredients are "
-                    "composed through the registry factories "
-                    "(penalty_registry / acceleration_registry / "
-                    "centralized_registry), so every composition is "
-                    "name-addressable and unknown names fail listing the "
-                    "alternatives"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Layer graph emission
 # ---------------------------------------------------------------------------
 def layer_graph_dot(tree: Tree) -> str:
@@ -1113,9 +1066,6 @@ RULES = {
     "net-io-confinement": (check_net_io_confinement,
                            "raw OS calls only in socket_bus/supervisor; "
                            "blocking waits deadline-scoped"),
-    "registry-confinement": (check_registry_confinement,
-                             "solver ingredients constructed only in their "
-                             "registry homes"),
     "dot-stale": (None, "committed docs layer graph matches the tree"),
 }
 

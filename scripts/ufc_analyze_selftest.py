@@ -459,69 +459,6 @@ class NetIoConfinementTests(unittest.TestCase):
         self.assertEqual(findings, [])
 
 
-class RegistryConfinementTests(unittest.TestCase):
-    def _confine(self, files):
-        with tempfile.TemporaryDirectory() as tmp:
-            return ua.check_registry_confinement(make_tree(tmp, files))
-
-    def test_construction_outside_homes_fails(self):
-        findings = self._confine({
-            "src/admm/strategy.cpp":
-                "auto p = std::make_unique<ResidualBalancePenalty>(knobs);\n",
-        })
-        self.assertEqual(rules_of(findings), ["registry-confinement"])
-        self.assertIn("ResidualBalancePenalty", findings[0].message)
-
-    def test_raw_new_outside_homes_fails(self):
-        findings = self._confine({
-            "src/admm/engine.cpp":
-                "acceleration_ = new AndersonAcceleration(knobs);\n",
-        })
-        self.assertEqual(rules_of(findings), ["registry-confinement"])
-
-    def test_centralized_method_outside_homes_fails(self):
-        findings = self._confine({
-            "src/admm/admg.cpp":
-                "auto oracle = std::make_unique<NewtonMethod>(options);\n",
-        })
-        self.assertEqual(rules_of(findings), ["registry-confinement"])
-
-    def test_construction_in_registry_homes_passes(self):
-        findings = self._confine({
-            "src/admm/ingredients.cpp":
-                "return std::make_unique<FixedPenalty>();\n",
-            "src/admm/centralized.cpp":
-                "return std::make_unique<SubgradientMethod>(options);\n",
-        })
-        self.assertEqual(findings, [])
-
-    def test_lookalike_identifiers_pass(self):
-        # BlockPinning is an enum and registry lookups are not constructions.
-        findings = self._confine({
-            "src/admm/options.cpp":
-                "options.pinning = BlockPinning::PinMu;\n"
-                "auto p = penalty_registry().create(name, options);\n",
-        })
-        self.assertEqual(findings, [])
-
-    def test_tests_and_bench_not_audited(self):
-        findings = self._confine({
-            "tests/admm/test_ingredients.cpp":
-                "auto p = std::make_unique<FixedPenalty>();\n",
-            "bench/bench_ingredients.cpp":
-                "auto a = std::make_unique<AndersonAcceleration>(knobs);\n",
-        })
-        self.assertEqual(findings, [])
-
-    def test_suppression(self):
-        findings = self._confine({
-            "src/admm/strategy.cpp":
-                "// ufc-analyze: allow(registry-confinement)\n"
-                "auto p = std::make_unique<FixedPenalty>();\n",
-        })
-        self.assertEqual(findings, [])
-
-
 class GraphAndReportTests(unittest.TestCase):
     FILES = {
         "src/admm/solver.hpp": '#include "math/vec.hpp"\n',
@@ -566,7 +503,7 @@ class GraphAndReportTests(unittest.TestCase):
         for rule in ("include-layering", "include-cycle", "dangling-include",
                      "wall-clock", "ordered-containers", "rng-discipline",
                      "global-state", "step-exceptions", "expects-reach",
-                     "net-io-confinement", "registry-confinement", "dot-stale"):
+                     "net-io-confinement", "dot-stale"):
             self.assertIn(rule, ua.RULES)
             self.assertTrue(ua.RULES[rule][1])
 
@@ -578,7 +515,6 @@ def run() -> int:
         loader.loadTestsFromTestCase(ConstructBanTests),
         loader.loadTestsFromTestCase(ExpectsReachTests),
         loader.loadTestsFromTestCase(NetIoConfinementTests),
-        loader.loadTestsFromTestCase(RegistryConfinementTests),
         loader.loadTestsFromTestCase(GraphAndReportTests),
     ])
     result = unittest.TextTestRunner(verbosity=2).run(suite)

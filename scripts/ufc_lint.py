@@ -49,6 +49,15 @@ Rules (each documented in docs/STATIC_ANALYSIS.md):
                     net/bus.hpp, sim/...) from src/obs inverts the layering;
                     domain adapters belong in src/sim/manifest.cpp.
 
+Tree rule (whole-repository lint only):
+
+  ci-filter-live    Every --gtest_filter pattern in .github/workflows/ci.yml
+                    must select at least one TEST / TEST_F / TEST_P under
+                    tests/, matched against GoogleTest full names (a trailing
+                    `*` is a prefix glob). GoogleTest exits 0 when a filter
+                    selects nothing, so a deleted or renamed suite would
+                    leave a sanitizer step green while it checks nothing.
+
 Suppressing a finding: append `// ufc-lint: allow(<rule>)` (with a reason!)
 to the offending line, or place it alone on the line above.
 
@@ -67,6 +76,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import re
 import sys
 from pathlib import Path
@@ -487,6 +497,66 @@ def check_expects_guard(rel: str, lines: list[str], repo_root: Path = REPO_ROOT)
 
 
 # --------------------------------------------------------------------------
+# Tree rule: ci-filter-live
+# --------------------------------------------------------------------------
+CI_WORKFLOW = ".github/workflows/ci.yml"
+GTEST_FILTER_RE = re.compile(r"""--gtest_filter=(?:'([^']*)'|"([^"]*)"|(\S+))""")
+TEST_DECL_RE = re.compile(r"\b(TEST|TEST_F|TEST_P)\s*\(\s*(\w+)\s*,\s*(\w+)\s*\)")
+INSTANTIATE_RE = re.compile(r"\bINSTANTIATE_TEST_SUITE_P\s*\(\s*(\w+)\s*,\s*(\w+)\s*,")
+
+
+def collect_test_names(repo_root: Path) -> set[str]:
+    """Every test under tests/ by its GoogleTest full name: `Suite.Test` for
+    TEST / TEST_F, `Prefix/Suite.Test/0` for each INSTANTIATE_TEST_SUITE_P
+    of a TEST_P suite (default parameter naming; every instantiation has a
+    parameter 0)."""
+    names = set()
+    parameterized: dict[str, list[str]] = {}
+    prefixes: dict[str, list[str]] = {}
+    for path in sorted((repo_root / "tests").rglob("*.cpp")):
+        text = path.read_text(errors="replace")
+        for macro, suite, test in TEST_DECL_RE.findall(text):
+            if macro == "TEST_P":
+                parameterized.setdefault(suite, []).append(test)
+            else:
+                names.add(f"{suite}.{test}")
+        for prefix, suite in INSTANTIATE_RE.findall(text):
+            prefixes.setdefault(suite, []).append(prefix)
+    for suite, tests in parameterized.items():
+        for prefix in prefixes.get(suite, []):
+            names.update(f"{prefix}/{suite}.{test}/0" for test in tests)
+    return names
+
+
+def check_ci_filter_live(rel: str, lines: list[str],
+                         test_names: set[str]) -> list[Finding]:
+    findings = []
+    for i, line in enumerate(lines):
+        for m in GTEST_FILTER_RE.finditer(line):
+            spec = next(group for group in m.groups() if group is not None)
+            # POSITIVE[-NEGATIVE]: only the positive patterns select tests.
+            positive = spec.split("-", 1)[0]
+            for pattern in filter(None, positive.split(":")):
+                if any(fnmatch.fnmatchcase(name, pattern) for name in test_names):
+                    continue
+                findings.append(Finding(
+                    rel, i + 1, "ci-filter-live",
+                    f"--gtest_filter pattern {pattern!r} selects no TEST / "
+                    "TEST_F / TEST_P under tests/ — GoogleTest exits 0 on an "
+                    "empty selection, so this step would check nothing"))
+    return findings
+
+
+def run_tree_rules(repo_root: Path = REPO_ROOT) -> list[Finding]:
+    workflow = repo_root / CI_WORKFLOW
+    if not workflow.exists():
+        return []
+    return check_ci_filter_live(CI_WORKFLOW,
+                                workflow.read_text().splitlines(),
+                                collect_test_names(repo_root))
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 RULES = {
@@ -501,6 +571,11 @@ RULES = {
     "engine-single-loop": (check_engine_single_loop, "GBS correction arithmetic only in src/admm/engine.cpp"),
     "obs-layering": (check_obs_layering, "src/obs includes only seam headers, never solver drivers"),
     "expects-guard": (check_expects_guard, "solver entry points must use UFC_EXPECTS"),
+}
+# Rules over the whole repository rather than one C++ file; run only when the
+# full tree is linted.
+TREE_RULES = {
+    "ci-filter-live": (run_tree_rules, "every CI --gtest_filter pattern selects a test"),
 }
 
 
@@ -534,11 +609,15 @@ def collect_files(paths: list[Path]) -> list[Path]:
     return files
 
 
-def run_lint(paths: list[Path], json_path: Path | None = None) -> int:
+def run_lint(paths: list[Path], json_path: Path | None = None,
+             tree: bool = False) -> int:
     files = collect_files(paths)
     findings = []
     for f in files:
         findings.extend(lint_file(f))
+    if tree:
+        for fn, _ in TREE_RULES.values():
+            findings.extend(fn())
     return report("ufc_lint", findings, checked=len(files),
                   json_path=json_path)
 
@@ -957,6 +1036,57 @@ def self_test() -> int:
             findings = self.lint_source("src/math/p.cpp", cpp, {"src/math/p.hpp": header})
             self.assertNotIn("expects-guard", self.rules_of(findings))
 
+        CI_NAMES = {"ThreadPool.RunsEveryChunk", "ProblemUpdate.Applies",
+                    "ProblemUpdateTest.ClampsMu",
+                    "Seeds/AdmgRandomized.Matches/0"}
+
+        def test_ci_filter_dead_pattern_flagged(self):
+            lines = ["run: ufc_tests --gtest_filter='ThreadPool.*:PenaltyPolicies.*'"]
+            findings = check_ci_filter_live(CI_WORKFLOW, lines, self.CI_NAMES)
+            self.assertEqual(len(findings), 1)
+            self.assertEqual(findings[0].rule, "ci-filter-live")
+            self.assertIn("PenaltyPolicies.*", findings[0].message)
+
+        def test_ci_filter_live_pattern_ok(self):
+            lines = ['run: ufc_tests --gtest_filter="ThreadPool.*"',
+                     "run: ufc_tests --gtest_filter=ThreadPool.RunsEveryChunk"]
+            self.assertEqual(
+                check_ci_filter_live(CI_WORKFLOW, lines, self.CI_NAMES), [])
+
+        def test_ci_filter_prefix_glob_ok(self):
+            # `ProblemUpdate*` has no '.': a prefix glob over full names,
+            # selecting both ProblemUpdate.* and ProblemUpdateTest.*.
+            lines = ["run: ufc_tests --gtest_filter='ProblemUpdate*:Thread*'"]
+            self.assertEqual(
+                check_ci_filter_live(CI_WORKFLOW, lines, self.CI_NAMES), [])
+
+        def test_ci_filter_negative_patterns_ignored(self):
+            lines = ["run: ufc_tests --gtest_filter='ThreadPool.*-Gone.*'"]
+            self.assertEqual(
+                check_ci_filter_live(CI_WORKFLOW, lines, self.CI_NAMES), [])
+
+        def test_ci_filter_parameterized_suite_needs_its_prefix(self):
+            # GoogleTest names TEST_P tests Prefix/Suite.Test/N, so the bare
+            # suite name selects nothing.
+            live = ["run: ufc_tests --gtest_filter='Seeds/AdmgRandomized.*'"]
+            self.assertEqual(
+                check_ci_filter_live(CI_WORKFLOW, live, self.CI_NAMES), [])
+            dead = ["run: ufc_tests --gtest_filter='AdmgRandomized.*'"]
+            self.assertEqual(
+                len(check_ci_filter_live(CI_WORKFLOW, dead, self.CI_NAMES)), 1)
+
+        def test_collect_test_names_reads_every_macro(self):
+            with tempfile.TemporaryDirectory() as tmp:
+                root = Path(tmp)
+                (root / "tests" / "admm").mkdir(parents=True)
+                (root / "tests" / "admm" / "test_x.cpp").write_text(
+                    "TEST(Plain, A) {}\nTEST_F(Fixture, B) {}\n"
+                    "TEST_P(Param, C) {}\nTEST_P(Orphan, D) {}\n"
+                    "INSTANTIATE_TEST_SUITE_P(\n    Seeds, Param, Range(0, 3));\n"
+                    "// TESTS(NotATest, E)\n")
+                self.assertEqual(collect_test_names(root),
+                                 {"Plain.A", "Fixture.B", "Seeds/Param.C/0"})
+
     suite = unittest.defaultTestLoader.loadTestsFromTestCase(LintTests)
     result = unittest.TextTestRunner(verbosity=2).run(suite)
     return 0 if result.wasSuccessful() else 1
@@ -976,12 +1106,12 @@ def main() -> int:
     if args.self_test:
         return self_test()
     if args.list_rules:
-        for rule, (_, summary) in RULES.items():
+        for rule, (_, summary) in {**RULES, **TREE_RULES}.items():
             print(f"{rule:24s} {summary}")
         return 0
 
     paths = args.paths or [REPO_ROOT / root for root in SOURCE_ROOTS]
-    return run_lint(paths, json_path=args.json)
+    return run_lint(paths, json_path=args.json, tree=not args.paths)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ AdmgReport AdmgSolver::solve_budgeted(int max_iterations) {
   // Same engine construction as solve_warm with only the iteration cap
   // overridden; the executor — and with it every per-step quantity — is
   // untouched, which is what makes budgeted resume bit-identical to one
-  // long solve under the default composition.
+  // long solve without acceleration.
   AdmgOptions budgeted = exec_.options();
   budgeted.max_iterations = max_iterations;
   // Exhausting a deliberate budget is the expected outcome of most ticks;

@@ -54,7 +54,7 @@ class AdmgSolver {
   /// tick deadline). Returns the best-so-far iterate with report.status
   /// telling Converged from BudgetExhausted; the executor keeps that
   /// iterate, so the next call resumes exactly where this one stopped.
-  /// Under the default ingredient composition the budget seam never touches
+  /// Without acceleration the budget seam never touches
   /// the iteration arithmetic: N budgeted calls of k iterations produce
   /// iterates bit-identical to one (N*k)-iteration solve_warm.
   AdmgReport solve_budgeted(int max_iterations);
@@ -76,14 +76,6 @@ class AdmgSolver {
   void apply_update(const ProblemUpdate& update) {
     exec_.apply_update(update);
   }
-
-  /// Seeds the iterate from a caller-unit solution (e.g. a centralized
-  /// oracle's plan): routing and its copy take solution.lambda normalized,
-  /// mu/nu carry over, and the multipliers start from the plan's KKT prices
-  /// (phi_j = the dispatched source's marginal cost, varphi = -beta phi).
-  /// The next solve_warm continues from this point — the warm-start
-  /// consumer of the second-order backend.
-  void seed(const UfcSolution& solution) { exec_.seed(solution); }
 
   /// One prediction + correction step on the current state. Exposed so
   /// tests can compare the message-passing runtime iterate-by-iterate.

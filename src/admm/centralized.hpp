@@ -12,22 +12,11 @@
 //   { lambda >= 0, row sums = A_i, column sums <= S_j },
 // projecting with Dykstra's algorithm (the polytope has no closed-form
 // projection).
-// A second, independent backend — a projected (semismooth) truncated-Newton
-// method on the same reduced objective (opt/newton.hpp) — registers beside
-// the subgradient reference in centralized_registry(); select it with
-// CentralizedOptions::method = "newton". Both backends return the same
-// CentralizedResult vocabulary, so either can serve as the cross-validation
-// oracle or as a warm-start producer for AdmgSolver::seed + solve_warm.
 #pragma once
 
-#include <string>
-#include <string_view>
-
-#include "admm/registry.hpp"
 #include "math/matrix.hpp"
 #include "model/breakdown.hpp"
 #include "model/problem.hpp"
-#include "opt/newton.hpp"
 
 namespace ufc::admm {
 
@@ -37,20 +26,12 @@ double optimal_dispatch_mw(const DatacenterSpec& dc, double fuel_cell_price,
                            double demand_mw);
 
 struct CentralizedOptions {
-  /// Backend name, resolved through centralized_registry(): "subgradient"
-  /// (the projected-subgradient reference) or "newton" (projected truncated
-  /// Newton, opt/newton.hpp). Unknown names throw with the registered list.
-  std::string method = "subgradient";
   int max_iterations = 4000;    ///< Outer subgradient iterations.
   double step0 = 0.0;           ///< 0: auto-scale from problem magnitudes.
   int dykstra_sweeps = 200;     ///< Per-projection Dykstra passes.
   /// Pin blocks exactly as the ADM-G baselines do.
   bool grid_only = false;       ///< Force mu = 0.
   bool fuel_cell_only = false;  ///< Force nu = 0 (mu = demand).
-  /// Knobs of the "newton" backend. newton.tolerance is dimensionless here:
-  /// the backend scales it by the largest arrival, matching the
-  /// normalization of routing_optimality_residual.
-  NewtonOptions newton;
 };
 
 struct CentralizedResult {
@@ -58,27 +39,9 @@ struct CentralizedResult {
   UfcBreakdown breakdown;
   double objective = 0.0;  ///< UFC at the returned point.
   int iterations = 0;
-  bool converged = false;  ///< Newton's fixed-point test; subgradient never
-                           ///< declares convergence (it runs its budget).
 };
 
-/// One centralized backend: consumes the knobs bound at creation and
-/// produces a complete plan. Concrete backends live in centralized.cpp and
-/// are reachable only through centralized_registry() (registry-confinement
-/// analyzer rule).
-class CentralizedMethod {
- public:
-  virtual ~CentralizedMethod() = default;
-  virtual std::string_view name() const = 0;
-  virtual CentralizedResult solve(const UfcProblem& problem) const = 0;
-};
-
-/// The centralized-backend registry with the built-ins ("subgradient",
-/// "newton") registered. Value-built per call, like the engine-ingredient
-/// registries (admm/ingredients.hpp).
-Registry<CentralizedMethod, CentralizedOptions> centralized_registry();
-
-/// Solves the UFC program with the backend options.method names.
+/// Solves the UFC program by projected subgradient on the reduced objective.
 /// Intended as an oracle: slower but independent of the ADMM machinery.
 CentralizedResult solve_centralized(const UfcProblem& problem,
                                     const CentralizedOptions& options = {});

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "admm/centralized.hpp"
-#include "admm/ingredients.hpp"
 #include "util/clock.hpp"
 #include "util/contract.hpp"
 #include "util/logging.hpp"
@@ -152,7 +151,6 @@ InProcessExecutor::InProcessExecutor(const UfcProblem& problem,
   UFC_EXPECTS(options_.tolerance > 0.0);
   UFC_EXPECTS(options_.threads >= 0);
   UFC_EXPECTS(options_.screening.full_pass_every >= 1);
-  validate_ingredients(options_);
 
   sigma_ = options_.workload_scale > 0.0 ? options_.workload_scale
                                          : natural_workload_scale(original_);
@@ -248,12 +246,6 @@ void InProcessExecutor::reset() {
   chunk_correct_seconds_.assign(pool_.thread_count(), 0.0);
 }
 
-bool InProcessExecutor::set_penalty(double rho) {
-  UFC_EXPECTS(std::isfinite(rho) && rho > 0.0);
-  options_.rho = rho;
-  return true;
-}
-
 void InProcessExecutor::copy_iterate(std::span<double> out) const {
   UFC_EXPECTS(out.size() == iterate_size());
   double* dst = out.data();
@@ -308,61 +300,6 @@ void InProcessExecutor::clamp_iterate(std::span<double> values) const {
                        problem_.datacenters[j].fuel_cell_capacity_mw);
     nu[j] = std::max(0.0, nu[j]);
   }
-}
-
-void InProcessExecutor::seed(const UfcSolution& solution) {
-  UFC_EXPECTS(solution.lambda.rows() == m_ && solution.lambda.cols() == n_);
-  UFC_EXPECTS(solution.mu.size() == n_ && solution.nu.size() == n_);
-  for (std::size_t i = 0; i < m_; ++i) {
-    const auto src = solution.lambda.row_span(i);
-    const auto lam = lambda_.row_span(i);
-    const auto a_row = a_.row_span(i);
-    for (std::size_t j = 0; j < n_; ++j) {
-      lam[j] = src[j] / sigma_;
-      a_row[j] = lam[j];
-    }
-  }
-  // mu and nu are MW quantities, invariant under the workload normalization.
-  std::copy(solution.mu.begin(), solution.mu.end(), mu_.begin());
-  std::copy(solution.nu.begin(), solution.nu.end(), nu_.begin());
-  // Multiplier seeds from the oracle's KKT conditions, read off the block
-  // fixed-point equations: an interior fuel-cell dispatch pins phi_j at the
-  // fuel-cell price (mu-block stationarity), a positive grid draw pins it
-  // at the grid price plus the marginal carbon cost (nu-block), and the
-  // a-block stationarity then gives varphi_ij = -beta_j phi_j on interior
-  // routing. Boundary cases fall back to the cheaper source's marginal —
-  // approximate there, but ADM-G only has to correct the active rows
-  // instead of rebuilding every multiplier from zero.
-  constexpr double kDispatchTolMw = 1e-9;
-  for (std::size_t j = 0; j < n_; ++j) {
-    const DatacenterSpec& dc = problem_.datacenters[j];
-    const double kappa = dc.carbon_rate / 1000.0;
-    const double grid_marginal = [&](double draw) {
-      return dc.grid_price + kappa * dc.emission_cost->derivative(kappa * draw);
-    }(nu_[j]);
-    double phi = 0.0;
-    if (nu_[j] > kDispatchTolMw) {
-      phi = grid_marginal;
-    } else if (mu_[j] > kDispatchTolMw &&
-               mu_[j] < dc.fuel_cell_capacity_mw - kDispatchTolMw) {
-      phi = problem_.fuel_cell_price;
-    } else {
-      phi = std::min(problem_.fuel_cell_price, grid_marginal);
-    }
-    phi_[j] = phi;
-    // varphi = -beta phi holds only where the a-block sits interior; on
-    // off-support coordinates the bound multiplier absorbs part of it, so
-    // those start at zero and let the first corrections fill them in.
-    const double varphi = -problem_.beta_mw(j) * phi;
-    for (std::size_t i = 0; i < m_; ++i)
-      varphi_(i, j) = lambda_(i, j) > 0.0 ? varphi : 0.0;
-  }
-  last_change_ = 0.0;
-  stepped_ = false;
-  post_sums_fresh_ = false;
-  screen_ready_ = false;
-  screen_verified_ = false;
-  steps_since_full_ = 0;
 }
 
 double InProcessExecutor::balance_residual() const {
@@ -1074,15 +1011,8 @@ PartialParticipationExecutor::PartialParticipationExecutor(
 AdmgEngine::AdmgEngine(const AdmgOptions& options) : options_(options) {
   UFC_EXPECTS(options_.max_iterations > 0);
   UFC_EXPECTS(options_.tolerance > 0.0);
-  validate_ingredients(options_);
-  penalty_ = penalty_registry().create(options_.penalty, options_);
-  acceleration_ =
-      acceleration_registry().create(options_.acceleration, options_);
+  if (options_.acceleration == Acceleration::Anderson) anderson_.emplace();
 }
-
-// Out of line: the policy members are unique_ptrs to types engine.hpp only
-// forward-declares (registry-confinement keeps the concrete headers out).
-AdmgEngine::~AdmgEngine() = default;
 
 SolveCore AdmgEngine::solve(BlockExecutor& executor, int first_iteration) {
   UFC_EXPECTS(first_iteration >= 0);
@@ -1103,26 +1033,17 @@ SolveCore AdmgEngine::solve(BlockExecutor& executor, int first_iteration) {
   const bool profiling =
       options_.profile_phases && options_.observer != nullptr;
   executor.set_phase_profiling(profiling);
-  // Ingredient support gates (both trivially pass under the default
-  // composition, which never touches the seams — the bit-identity fast
-  // path). An accelerating composition needs flat-iterate access, an
-  // adaptive penalty needs a rho the engine can swap mid-solve; executors
-  // without the seams (the message-passing runtime) reject up front rather
-  // than silently running the plain scheme.
-  const bool accelerating = !acceleration_->identity();
-  const bool adaptive_penalty = !penalty_->fixed();
-  double rho = options_.rho;
+  // Anderson needs flat-iterate access: begin() rejects a zero-size iterate,
+  // so executors without the seam (the message-passing runtime) fail up
+  // front rather than silently running the plain scheme. Without
+  // acceleration the seam is never touched — the bit-identity fast path.
+  const bool accelerating = anderson_.has_value();
   if (accelerating) {
     const std::size_t size = executor.iterate_size();
-    UFC_EXPECTS(size > 0);
-    acceleration_->begin(size);
+    anderson_->begin(size);
     previous_.resize(size);
     plain_.resize(size);
     candidate_.resize(size);
-  }
-  if (adaptive_penalty) {
-    const bool supported = executor.set_penalty(rho);
-    UFC_EXPECTS(supported);
   }
   const int first = first_iteration;
   for (int k = first;
@@ -1153,15 +1074,15 @@ SolveCore AdmgEngine::solve(BlockExecutor& executor, int first_iteration) {
     balance = executor.balance_residual();
     copy = executor.copy_residual();
     if (accelerating) {
-      // Acceleration seam: the plain step T(previous) just ran and its
-      // residuals are in hand. Propose a candidate, install it, measure it,
-      // and let the policy's safeguard keep or reject it; the residuals
-      // carried to the trace / convergence gate / watchdog below are those
-      // of whichever iterate survived.
+      // The plain step T(previous) just ran and its residuals are in hand.
+      // Propose a mixed candidate, install it, measure it, and let the
+      // mixer's safeguard keep or reject it; the residuals carried to the
+      // trace / convergence gate / watchdog below are those of whichever
+      // iterate survived.
       executor.copy_iterate(plain_);
       const double plain_scaled = std::max(balance / executor.balance_scale(),
                                            copy / executor.copy_scale());
-      if (acceleration_->propose(previous_, plain_, candidate_)) {
+      if (anderson_->propose(previous_, plain_, candidate_)) {
         executor.clamp_iterate(candidate_);
         executor.set_iterate(candidate_);
         // std::max never selects NaN, so a non-finite candidate is flagged
@@ -1176,7 +1097,7 @@ SolveCore AdmgEngine::solve(BlockExecutor& executor, int first_iteration) {
               std::max(candidate_balance / executor.balance_scale(),
                        candidate_copy / executor.copy_scale());
         }
-        if (acceleration_->accept(plain_scaled, candidate_scaled)) {
+        if (anderson_->accept(plain_scaled, candidate_scaled)) {
           balance = candidate_balance;
           copy = candidate_copy;
         } else {
@@ -1229,41 +1150,10 @@ SolveCore AdmgEngine::solve(BlockExecutor& executor, int first_iteration) {
       core.watchdog_verdict = watchdog.verdict();
       break;
     }
-    if (adaptive_penalty) {
-      // Penalty seam: the policy sees this iteration's scaled residuals and
-      // proposes the next rho. On a change the engine applies it — once,
-      // here, for every executor — and purges the acceleration history.
-      const double scaled_primal = std::max(balance / executor.balance_scale(),
-                                            copy / executor.copy_scale());
-      const double scaled_dual =
-          executor.last_change() / executor.copy_scale();
-      const double next_rho = penalty_->propose(rho, scaled_primal,
-                                                scaled_dual);
-      UFC_EXPECTS(std::isfinite(next_rho) && next_rho > 0.0);
-      // An unchanged rho is the policy's exact keep-current sentinel.
-      // ufc-lint: allow(float-equal)
-      if (next_rho != rho) {
-        const bool applied = executor.set_penalty(next_rho);
-        UFC_EXPECTS(applied);
-        // The duals are deliberately NOT rescaled: this engine runs the
-        // unscaled convention y += rho (a - lambda), under which phi and
-        // varphi are rho-independent marginal prices (the warm-start seeds
-        // read them straight off the problem data). Rescaling belongs to
-        // the scaled-dual (u = y/rho) formulation only; applying it here
-        // multiplies real prices by the ratio and compounds into dual
-        // divergence as the balancer ratchets.
-        rho = next_rho;
-        // The penalty change reshaped every block proximal step: residual
-        // pairs recorded under the old rho describe a different fixed-point
-        // map, so the acceleration history must not mix across the change.
-        if (accelerating) acceleration_->reset();
-      }
-    }
   }
   core.balance_residual = balance;
   core.copy_residual = copy;
-  core.acceleration_fallbacks = acceleration_->fallbacks();
-  core.final_penalty = rho;
+  core.acceleration_fallbacks = accelerating ? anderson_->fallbacks() : 0;
   core.status = core.watchdog_verdict != WatchdogVerdict::Healthy
                     ? SolveStatus::WatchdogTripped
                 : core.converged ? SolveStatus::Converged

@@ -24,11 +24,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
+#include "admm/anderson.hpp"
 #include "admm/blocks.hpp"
 #include "admm/solve_core.hpp"
 #include "admm/telemetry.hpp"
@@ -67,36 +67,19 @@ struct ActiveSetOptions {
   int full_pass_every = 8;
 };
 
-/// Numeric knobs of the non-default solver ingredients
-/// (docs/SOLVER_INGREDIENTS.md). Inert under the default "fixed" + "none"
-/// composition; domains are enforced by the policy constructors, by
-/// validate_ingredients() at executor/engine construction, and mirrored in
-/// options_from_config so a bad INI value surfaces as a config error.
-struct IngredientOptions {
-  /// Residual-balance penalty (penalty = "residual-balance", Boyd et al.
-  /// §3.4.1): rho *= increase when the scaled primal residual exceeds
-  /// balance_ratio x the scaled dual proxy, rho /= decrease in the mirrored
-  /// case. All three factors must be > 1.
-  double balance_ratio = 10.0;
-  double increase = 2.0;
-  double decrease = 2.0;
-  /// Iterations between adaptation decisions (>= 1). The dual proxy is the
-  /// successive-iterate change, which spikes for a few iterations after
-  /// every rho change; deciding only every balance_period-th iteration
-  /// samples settled residuals instead of chasing its own transients.
-  int balance_period = 10;
-  /// Over-relaxation (acceleration = "over-relaxation"): the accepted
-  /// iterate is x^k + alpha (T(x^k) - x^k) with alpha in (0, 2);
-  /// alpha > 1 extrapolates along the step direction.
-  double over_relaxation = 1.6;
-  /// Anderson type-II (acceleration = "anderson"): bounded mixing memory
-  /// (>= 1 past residual pairs) and the safeguard factor (> 0): a candidate
-  /// whose scaled residual exceeds safeguard x the plain step's — or is
-  /// non-finite — is rejected in favor of the plain iterate and the mixing
-  /// history is purged.
-  int anderson_memory = 5;
-  double anderson_safeguard = 2.0;
+/// Iterate acceleration (docs/SOLVER_INGREDIENTS.md).
+enum class Acceleration {
+  None,      ///< Accept the plain step (default; the pinned baseline loop).
+  Anderson,  ///< Safeguarded type-II Anderson mixing (admm/anderson.hpp).
 };
+
+constexpr const char* to_string(Acceleration acceleration) {
+  switch (acceleration) {
+    case Acceleration::None: return "none";
+    case Acceleration::Anderson: return "anderson";
+  }
+  return "unknown";
+}
 
 struct AdmgOptions {
   /// Penalty parameter. The paper reports rho = 0.3 for its (unstated)
@@ -158,18 +141,13 @@ struct AdmgOptions {
   /// Profiling adds clock reads around existing code paths and never
   /// reorders or alters arithmetic, so profiled solves stay bit-identical.
   bool profile_phases = false;
-  /// Solver-ingredient composition (docs/SOLVER_INGREDIENTS.md): names
-  /// resolved through admm::penalty_registry() / acceleration_registry() at
-  /// engine construction; unknown names throw with the available-name list.
-  /// The default composition ("fixed" + "none") keeps the engine
-  /// bit-identical to the pinned baselines on every executor. Non-default
-  /// names need an executor with the corresponding seam (set_penalty /
-  /// flat-iterate access — the in-process executors) and relax bit-identity,
-  /// not correctness: every composition passes the same residual gate and is
-  /// cross-validated against the centralized reference and the KKT checker.
-  std::string penalty = "fixed";
-  std::string acceleration = "none";
-  IngredientOptions ingredients;
+  /// Iterate acceleration (docs/SOLVER_INGREDIENTS.md). None keeps the
+  /// engine bit-identical to the pinned baselines on every executor.
+  /// Anderson needs an executor with flat-iterate access (the in-process
+  /// executors; the message-passing runtime rejects it up front) and relaxes
+  /// bit-identity, not correctness: it passes the same residual gate and is
+  /// cross-validated against the reference loop and the KKT checker.
+  Acceleration acceleration = Acceleration::None;
 };
 
 // AdmgTrace and SolveCore — the result types every driver's report embeds —
@@ -295,26 +273,14 @@ class BlockExecutor {
   virtual Mat gather_lambda() const = 0;
   virtual Vec gather_mu() const = 0;
 
-  // ---- Ingredient seams (docs/SOLVER_INGREDIENTS.md). ---------------------
-  // Default implementations decline support, so executors that predate the
-  // seams (notably the message-passing runtime, whose agents were configured
-  // at spawn) keep working with the default composition and the engine
-  // rejects non-default compositions on them up front.
+  // ---- Flat-iterate seam (docs/SOLVER_INGREDIENTS.md). -------------------
+  // Default implementations decline support, so executors without it
+  // (notably the message-passing runtime, whose agents were configured at
+  // spawn) keep working with the plain scheme and the engine rejects
+  // Acceleration::Anderson on them up front.
 
-  /// Applies a new penalty parameter for subsequent steps and returns true;
-  /// false when the executor cannot change rho mid-solve. The duals are NOT
-  /// touched on a change: the engine runs the unscaled convention
-  /// y += rho (a - lambda), under which phi and varphi are rho-independent
-  /// prices — implementations only swap the scalar.
-  virtual bool set_penalty(double rho) {
-    (void)rho;
-    return false;
-  }
-
-  /// Flat-iterate access for acceleration policies: the dimension of the
-  /// stacked (lambda, a, varphi, mu, nu, phi) vector, or 0 when candidate
-  /// replacement is unsupported (the engine then requires the "none"
-  /// acceleration).
+  /// The dimension of the stacked (lambda, a, varphi, mu, nu, phi) vector,
+  /// or 0 when candidate replacement is unsupported.
   virtual std::size_t iterate_size() const { return 0; }
   virtual void copy_iterate(std::span<double> out) const { (void)out; }
   /// Replaces the current iterate with `values` (same stacking as
@@ -367,7 +333,6 @@ class InProcessExecutor : public BlockExecutor {
   Mat gather_lambda() const override { return lambda_; }
   Vec gather_mu() const override { return mu_; }
 
-  bool set_penalty(double rho) override;
   std::size_t iterate_size() const override {
     return 3 * m_ * n_ + 3 * n_;
   }
@@ -377,12 +342,6 @@ class InProcessExecutor : public BlockExecutor {
 
   /// Back to the paper's cold start (all variables zero).
   void reset();
-  /// Seeds the iterate from a caller-unit solution — the warm-start producer
-  /// seam for the second-order centralized backend: lambda and its copy a
-  /// take solution.lambda / sigma, mu and nu carry over, duals restart at
-  /// zero (the oracle has no multipliers in ADM-G's parameterization). The
-  /// next solve_warm continues from this point.
-  void seed(const UfcSolution& solution);
   /// Swaps in a new slot's problem while keeping the iterate as the warm
   /// start. Dimensions (M, N) must match; the workload normalization is
   /// kept from construction so iterates remain directly comparable.
@@ -535,35 +494,25 @@ class PartialParticipationExecutor : public InProcessExecutor {
                                double participation, std::uint64_t seed);
 };
 
-// The ingredient interfaces live in admm/ingredients.hpp; the engine only
-// ever names the abstract types (registry-confinement analyzer rule).
-class PenaltyPolicy;
-class AccelerationPolicy;
-
 /// The driver-independent iteration skeleton: convergence gate, watchdog,
-/// trace + observer telemetry, centralized fallback and solution packaging.
-/// The penalty schedule and acceleration are pluggable ingredients resolved
-/// by name from AdmgOptions through admm::Registry at construction
-/// (docs/SOLVER_INGREDIENTS.md); unknown names throw ContractViolation
-/// listing the registered alternatives.
+/// trace + observer telemetry, optional Anderson acceleration, centralized
+/// fallback and solution packaging.
 class AdmgEngine {
  public:
   explicit AdmgEngine(const AdmgOptions& options);
-  ~AdmgEngine();
 
   /// Runs up to options.max_iterations steps of `executor` starting at
   /// iteration number `first_iteration` (non-zero when resuming a
   /// checkpointed distributed run) and packages the result. The executor
   /// keeps its final iterate, so callers can checkpoint or keep warm-
-  /// starting from it. Non-default ingredients require the corresponding
-  /// executor seam (set_penalty / flat-iterate access); compositions the
-  /// executor cannot honor are rejected up front.
+  /// starting from it. Acceleration::Anderson requires the executor's
+  /// flat-iterate seam and is rejected up front on executors without it.
   SolveCore solve(BlockExecutor& executor, int first_iteration = 0);
 
  private:
   AdmgOptions options_;
-  std::unique_ptr<PenaltyPolicy> penalty_;
-  std::unique_ptr<AccelerationPolicy> acceleration_;
+  /// Present only under Acceleration::Anderson.
+  std::optional<AndersonMixer> anderson_;
   // Acceleration workspace, sized once per solve (the engine loop itself
   // never allocates past the first iteration).
   std::vector<double> previous_, plain_, candidate_;

@@ -1,43 +1,63 @@
 #include "admm/options.hpp"
 
-#include "admm/ingredients.hpp"
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "util/contract.hpp"
 
 namespace ufc::admm {
 
+namespace {
+
+Acceleration parse_acceleration(const std::string& name) {
+  for (const Acceleration acceleration :
+       {Acceleration::None, Acceleration::Anderson})
+    if (name == to_string(acceleration)) return acceleration;
+  throw ContractViolation("unknown solver.acceleration \"" + name +
+                          "\" (available: none, anderson)");
+}
+
+}  // namespace
+
 AdmgOptions options_from_config(const Config& config, AdmgOptions defaults) {
+  // Every [solver] key read below is recorded, and any other solver.* key is
+  // rejected afterwards: a typo or the key of a deleted option would
+  // otherwise be silently ignored and the solve would run the defaults.
+  std::vector<std::string> recognized;
+  const auto key = [&recognized](const char* name) {
+    recognized.emplace_back(name);
+    return "solver." + recognized.back();
+  };
   AdmgOptions options = defaults;
-  options.rho = config.get_double("solver.rho", options.rho);
-  options.epsilon = config.get_double("solver.epsilon", options.epsilon);
-  options.tolerance = config.get_double("solver.tolerance", options.tolerance);
+  options.rho = config.get_double(key("rho"), options.rho);
+  options.epsilon = config.get_double(key("epsilon"), options.epsilon);
+  options.tolerance = config.get_double(key("tolerance"), options.tolerance);
   options.max_iterations =
-      config.get_int("solver.max_iterations", options.max_iterations);
-  options.gaussian_back_substitution =
-      config.get_bool("solver.gaussian_back_substitution",
-                      options.gaussian_back_substitution);
-  options.threads = config.get_int("solver.threads", options.threads);
+      config.get_int(key("max_iterations"), options.max_iterations);
+  options.gaussian_back_substitution = config.get_bool(
+      key("gaussian_back_substitution"), options.gaussian_back_substitution);
+  options.threads = config.get_int(key("threads"), options.threads);
   options.screening.enabled =
-      config.get_bool("solver.screening", options.screening.enabled);
+      config.get_bool(key("screening"), options.screening.enabled);
   options.screening.full_pass_every = config.get_int(
-      "solver.screening_full_pass_every", options.screening.full_pass_every);
-  // Solver-ingredient composition (docs/SOLVER_INGREDIENTS.md).
-  options.penalty = config.get_string("solver.penalty", options.penalty);
-  options.acceleration =
-      config.get_string("solver.acceleration", options.acceleration);
-  options.ingredients.balance_ratio = config.get_double(
-      "solver.penalty_balance_ratio", options.ingredients.balance_ratio);
-  options.ingredients.increase = config.get_double(
-      "solver.penalty_increase", options.ingredients.increase);
-  options.ingredients.decrease = config.get_double(
-      "solver.penalty_decrease", options.ingredients.decrease);
-  options.ingredients.balance_period = config.get_int(
-      "solver.penalty_period", options.ingredients.balance_period);
-  options.ingredients.over_relaxation = config.get_double(
-      "solver.over_relaxation", options.ingredients.over_relaxation);
-  options.ingredients.anderson_memory = config.get_int(
-      "solver.anderson_memory", options.ingredients.anderson_memory);
-  options.ingredients.anderson_safeguard = config.get_double(
-      "solver.anderson_safeguard", options.ingredients.anderson_safeguard);
+      key("screening_full_pass_every"), options.screening.full_pass_every);
+  options.acceleration = parse_acceleration(config.get_string(
+      key("acceleration"), to_string(options.acceleration)));
+
+  const std::string prefix = "solver.";
+  for (const std::string& entry : config.keys()) {
+    if (entry.rfind(prefix, 0) != 0) continue;
+    const std::string name = entry.substr(prefix.size());
+    if (std::find(recognized.begin(), recognized.end(), name) !=
+        recognized.end())
+      continue;
+    std::string known;
+    for (const std::string& recognized_name : recognized)
+      known += (known.empty() ? "" : ", ") + recognized_name;
+    throw ContractViolation("unknown [solver] key \"" + name +
+                            "\" (recognized: " + known + ")");
+  }
   // Same domains the solver constructor enforces, checked here so a typo in
   // the INI file surfaces as a config error, not a solver-internal one.
   UFC_EXPECTS(options.rho > 0.0);
@@ -46,9 +66,6 @@ AdmgOptions options_from_config(const Config& config, AdmgOptions defaults) {
   UFC_EXPECTS(options.max_iterations > 0);
   UFC_EXPECTS(options.threads >= 0);
   UFC_EXPECTS(options.screening.full_pass_every >= 1);
-  // Ingredient knob domains and names, mirrored from the solver layer; an
-  // unknown name throws listing the registered alternatives.
-  validate_ingredients(options);
   return options;
 }
 

@@ -61,12 +61,9 @@ struct SolveCore {
   WatchdogVerdict watchdog_verdict = WatchdogVerdict::Healthy;
   /// True when the returned solution came from the centralized fallback.
   bool fallback_centralized = false;
-  /// Safeguard fallbacks of the acceleration ingredient (0 under the default
-  /// "none" acceleration — it never proposes, so it never falls back).
+  /// Safeguard fallbacks of the Anderson mixer (0 without acceleration —
+  /// nothing is proposed, so nothing falls back).
   std::uint64_t acceleration_fallbacks = 0;
-  /// The penalty parameter at the end of the solve; equals AdmgOptions::rho
-  /// under the default "fixed" penalty.
-  double final_penalty = 0.0;
   AdmgTrace trace;
 };
 

@@ -4,6 +4,8 @@
 // threads=4 is an exact equality test, not a tolerance test.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "admm/admg.hpp"
 #include "helpers.hpp"
 
@@ -43,23 +45,37 @@ TEST(AdmgParallel, StepSequenceBitIdenticalSerialVsFourThreads) {
 }
 
 TEST(AdmgParallel, ReportsIdenticalSerialVsFourThreads) {
-  for (std::uint64_t seed : {21u, 22u, 23u}) {
-    const auto problem = testing::make_random_problem(seed, 10, 4);
-    const AdmgReport serial = AdmgSolver(problem, with_threads(1)).solve();
-    const AdmgReport threaded = AdmgSolver(problem, with_threads(4)).solve();
+  // Anderson snapshots and replaces the flat iterate around the thread-pool
+  // passes, so it runs here too (under TSan in CI); its safeguard fallbacks
+  // must match as well.
+  for (const Acceleration acceleration :
+       {Acceleration::None, Acceleration::Anderson}) {
+    for (std::uint64_t seed : {21u, 22u, 23u}) {
+      const auto problem = testing::make_random_problem(seed, 10, 4);
+      AdmgOptions serial_opts = with_threads(1);
+      serial_opts.acceleration = acceleration;
+      AdmgOptions threaded_opts = with_threads(4);
+      threaded_opts.acceleration = acceleration;
+      const AdmgReport serial = AdmgSolver(problem, serial_opts).solve();
+      const AdmgReport threaded = AdmgSolver(problem, threaded_opts).solve();
+      SCOPED_TRACE(std::string(to_string(acceleration)) + ", seed " +
+                   std::to_string(seed));
 
-    EXPECT_EQ(serial.iterations, threaded.iterations);
-    EXPECT_EQ(serial.converged, threaded.converged);
-    EXPECT_EQ(serial.balance_residual, threaded.balance_residual);
-    EXPECT_EQ(serial.copy_residual, threaded.copy_residual);
-    EXPECT_EQ(max_abs_diff(serial.solution.lambda, threaded.solution.lambda),
-              0.0);
-    EXPECT_EQ(max_abs_diff(serial.solution.mu, threaded.solution.mu), 0.0);
-    EXPECT_EQ(max_abs_diff(serial.solution.nu, threaded.solution.nu), 0.0);
-    EXPECT_EQ(serial.breakdown.ufc, threaded.breakdown.ufc);
-    ASSERT_EQ(serial.trace.objective.size(), threaded.trace.objective.size());
-    for (std::size_t k = 0; k < serial.trace.objective.size(); ++k)
-      EXPECT_EQ(serial.trace.objective[k], threaded.trace.objective[k]);
+      EXPECT_EQ(serial.iterations, threaded.iterations);
+      EXPECT_EQ(serial.converged, threaded.converged);
+      EXPECT_EQ(serial.acceleration_fallbacks, threaded.acceleration_fallbacks);
+      EXPECT_EQ(serial.balance_residual, threaded.balance_residual);
+      EXPECT_EQ(serial.copy_residual, threaded.copy_residual);
+      EXPECT_EQ(max_abs_diff(serial.solution.lambda, threaded.solution.lambda),
+                0.0);
+      EXPECT_EQ(max_abs_diff(serial.solution.mu, threaded.solution.mu), 0.0);
+      EXPECT_EQ(max_abs_diff(serial.solution.nu, threaded.solution.nu), 0.0);
+      EXPECT_EQ(serial.breakdown.ufc, threaded.breakdown.ufc);
+      ASSERT_EQ(serial.trace.objective.size(),
+                threaded.trace.objective.size());
+      for (std::size_t k = 0; k < serial.trace.objective.size(); ++k)
+        EXPECT_EQ(serial.trace.objective[k], threaded.trace.objective[k]);
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "admm/async.hpp"
@@ -364,6 +365,27 @@ TEST(EngineOptions, OptionsFromConfigRejectsInvalidValues) {
 
   const Config bad_iters = Config::parse("[solver]\nmax_iterations = 0\n");
   EXPECT_THROW(options_from_config(bad_iters), ContractViolation);
+
+  // A key the parser does not read must not be silently ignored: typos and
+  // keys of deleted options throw, naming the key and the recognized ones.
+  for (const char* key :
+       {"max_iteration", "tolerence", "projection", "penalty",
+        "penalty_balance_ratio", "penalty_increase", "penalty_decrease",
+        "penalty_period", "anderson_memory", "anderson_safeguard"}) {
+    const Config config =
+        Config::parse(std::string("[solver]\n") + key + " = 1\n");
+    try {
+      options_from_config(config);
+      ADD_FAILURE() << "accepted solver." << key;
+    } catch (const ContractViolation& violation) {
+      const std::string message = violation.what();
+      EXPECT_NE(message.find(std::string("\"") + key + "\""),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("max_iterations"), std::string::npos) << message;
+      EXPECT_NE(message.find("acceleration"), std::string::npos) << message;
+    }
+  }
 }
 
 }  // namespace
