@@ -4,7 +4,7 @@
 #
 # For each header we generate a one-line TU under ${CMAKE_BINARY_DIR}/
 # header_check/ and compile them all into an OBJECT library that is excluded
-# from the default build — `ctest -R ufc_header_check` (or CI's analyze job)
+# from the default build — `ctest -R ufc_header_check` (or CI's lint job)
 # builds it on demand via the ufc_header_check test below.
 
 file(GLOB_RECURSE UFC_CHECKED_HEADERS CONFIGURE_DEPENDS

@@ -33,7 +33,7 @@ AdmgReport AdmgSolver::solve_budgeted(int max_iterations) {
   return report;
 }
 
-// ufc-lint: allow(expects-guard) — AdmgSolver's constructor validates the
+// ufc-lint: allow(expects-reach) — AdmgSolver's constructor validates the
 // problem and every option before any work happens.
 AdmgReport solve_admg(const UfcProblem& problem, const AdmgOptions& options) {
   AdmgSolver solver(problem, options);

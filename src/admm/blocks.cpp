@@ -122,14 +122,14 @@ void solve_a_block_into(const ABlockInputs& in,
   monotone_root(gap, 0.0, in.capacity);
 }
 
-// ufc-lint: allow(expects-guard) — pure arithmetic on scalars already
+// ufc-lint: allow(expects-reach) — pure arithmetic on scalars already
 // validated by the solver; this is the per-datacenter inner-loop dual update.
 double update_phi(double phi, double rho, double alpha, double beta,
                   double a_col_sum, double mu, double nu) {
   return phi + rho * (alpha + beta * a_col_sum - mu - nu);
 }
 
-// ufc-lint: allow(expects-guard) — same as update_phi: validated-scalar
+// ufc-lint: allow(expects-reach) — same as update_phi: validated-scalar
 // arithmetic on the hot path.
 double update_varphi(double varphi, double rho, double a, double lambda) {
   return varphi + rho * (a - lambda);

@@ -52,8 +52,6 @@ void scale_workload_units_in_place(UfcProblem& problem, double sigma) {
   for (auto& a : problem.arrivals) a /= sigma;
 }
 
-// ufc-lint: allow(expects-guard) — thin wrapper; the in-place variant above
-// guards sigma before any work happens.
 UfcProblem scale_workload_units(const UfcProblem& problem, double sigma) {
   UfcProblem scaled = problem;
   scale_workload_units_in_place(scaled, sigma);

@@ -4,7 +4,7 @@
 
 namespace ufc::admm {
 
-// ufc-lint: allow(expects-guard) — total switch over the enum; the trailing
+// ufc-lint: allow(expects-reach) — total switch over the enum; the trailing
 // return covers out-of-range values defensively.
 std::string to_string(Strategy strategy) {
   switch (strategy) {
@@ -15,7 +15,7 @@ std::string to_string(Strategy strategy) {
   return "?";
 }
 
-// ufc-lint: allow(expects-guard) — total switch over the enum.
+// ufc-lint: allow(expects-reach) — total switch over the enum.
 BlockPinning pinning_for(Strategy strategy) {
   switch (strategy) {
     case Strategy::Grid:     return BlockPinning::PinMu;
@@ -25,7 +25,7 @@ BlockPinning pinning_for(Strategy strategy) {
   return BlockPinning::None;
 }
 
-// ufc-lint: allow(expects-guard) — delegates to solve_admg, whose solver
+// ufc-lint: allow(expects-reach) — delegates to solve_admg, whose solver
 // constructor validates the problem and options.
 AdmgReport solve_strategy(const UfcProblem& problem, Strategy strategy,
                           AdmgOptions options) {

@@ -146,7 +146,7 @@ Vec project_halfspace(Vec v, const Vec& a, double b) {
   return v;
 }
 
-// ufc-lint: allow(expects-guard) — total clamp, defined for any vector.
+// ufc-lint: allow(expects-reach) — total clamp, defined for any vector.
 Vec project_nonnegative(Vec v) {
   for (auto& x : v) x = std::max(x, 0.0);
   return v;

@@ -121,7 +121,7 @@ std::int32_t FrontEndAgent::oldest_input_round() const {
 // Serializer into a caller-owned buffer: any `out` state is appendable, so
 // there is no precondition to guard — restore_state carries the format
 // contract for the pair.
-// ufc-analyze: allow(expects-reach)
+// ufc-lint: allow(expects-reach)
 void FrontEndAgent::append_state(std::vector<std::byte>& out) const {
   wire::append(out, static_cast<std::uint64_t>(n_));
   wire::append_f64s(out, lambda_.span());
@@ -299,7 +299,7 @@ std::int32_t DatacenterAgent::oldest_input_round() const {
 
 // Serializer into a caller-owned buffer: no precondition to guard (see
 // FrontEndAgent::append_state).
-// ufc-analyze: allow(expects-reach)
+// ufc-lint: allow(expects-reach)
 void DatacenterAgent::append_state(std::vector<std::byte>& out) const {
   wire::append(out, static_cast<std::uint64_t>(config_.num_front_ends));
   wire::append_f64s(out, a_.span());

@@ -1,7 +1,7 @@
 // The repo's single sanctioned monotonic-clock seam.
 //
 // Every wall-clock read outside src/obs goes through these helpers (the
-// ufc_analyze wall-clock rule enforces it), so the set of places where real
+// ufc_lint wall-clock rule enforces it), so the set of places where real
 // time can enter the solver is reviewable in one file — and a clock read can
 // never leak into iterate arithmetic. All timing uses
 // std::chrono::steady_clock: monotonic, never stepped backwards by NTP.
