@@ -8,12 +8,10 @@
 //
 //  2. Size-scaling frontier (docs/PERFORMANCE.md, "Scaling frontier"):
 //     serial per-iteration time up to 4096x256 for the default kernels
-//     (exact block solves over every coordinate) and the fast path
-//     (active-set screening), against the pre-frontier serial baseline.
-//     Each fast-path run is KKT-validated: the solver steps on to the next
-//     full verification pass, that step is taken from a snapshot of
-//     (a, varphi), and the resulting lambda rows are checked as
-//     projected-gradient fixed points of their sub-problems.
+//     (exact block solves over every coordinate), against the pre-frontier
+//     serial baseline. Each run is KKT-validated: one more step is taken
+//     from a snapshot of (a, varphi), and the resulting lambda rows are
+//     checked as projected-gradient fixed points of their sub-problems.
 //     Override the sizes with UFC_BENCH_SIZES (see bench_common.hpp).
 #include "bench_common.hpp"
 
@@ -57,13 +55,11 @@ ufc::UfcProblem random_problem(std::size_t m, std::size_t n) {
   return p;
 }
 
-double us_per_iteration(const ufc::UfcProblem& problem, int threads,
+/// Per-iteration wall time of `solver`, warming up `warmup` steps first (the
+/// first step pays the workspace allocations).
+double us_per_iteration(ufc::admm::AdmgSolver& solver, int warmup,
                         int iterations) {
-  ufc::admm::AdmgOptions options;
-  options.threads = threads;
-  ufc::admm::AdmgSolver solver(problem, options);
-  // Warm the workspace and caches (the first step pays the allocations).
-  for (int k = 0; k < 5; ++k) solver.step();
+  for (int k = 0; k < warmup; ++k) solver.step();
   const auto start = std::chrono::steady_clock::now();
   for (int k = 0; k < iterations; ++k) solver.step();
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -81,7 +77,7 @@ struct Scale {
 };
 
 /// Serial per-iteration time of the pre-frontier kernels (sort projection,
-/// strided column gathers, no screening) at commit 627702a, measured on this
+/// strided column gathers) at commit 627702a, measured on a 1-core
 /// container (release build, threads=1, warmup 5, same random_problem
 /// seeds). 0.0 = no baseline recorded for this size (custom UFC_BENCH_SIZES
 /// points): the speedup columns are then reported as 0.
@@ -93,41 +89,19 @@ double pre_frontier_serial_us(std::size_t m, std::size_t n) {
   return 0.0;
 }
 
-/// Per-iteration serial wall time with the given options, warming up
-/// `warmup` steps first (first-step allocations + the screening cold start).
-double frontier_us_per_iteration(const ufc::UfcProblem& problem,
-                                 const ufc::admm::AdmgOptions& options,
-                                 int warmup, int iterations) {
-  ufc::admm::AdmgSolver solver(problem, options);
-  for (int k = 0; k < warmup; ++k) solver.step();
-  const auto start = std::chrono::steady_clock::now();
-  for (int k = 0; k < iterations; ++k) solver.step();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double, std::micro>(elapsed).count() /
-         static_cast<double>(iterations);
-}
-
 struct KktSummary {
   double max_residual = 0.0;
   bool passed = true;
 };
 
-/// Validates the fast path's lambda predictions as first-order optima. The
-/// solver has taken `steps` steps from a cold start; it first steps on until
-/// the next step is a full verification pass (from a cold start, step k is
-/// full iff (k - 1) mod full_pass_every == 0). A screened step solves each
-/// row over its stale support only, so it is not a minimizer of the full
-/// row's sub-problem; the full pass is the step whose optimality the fast
-/// path claims. From there: snapshot (a, varphi), take that step, and check
-/// sampled rows of the resulting lambda (which the step computed from
-/// exactly that snapshot) as projected-gradient fixed points of the
-/// per-front-end sub-problem (eq. (17)). An incorrectly screened-out
-/// coordinate would show up as a residual at that coordinate, because the
-/// check runs over the full row, not the support.
-KktSummary validate_lambda_kkt(ufc::admm::AdmgSolver& solver, int steps) {
+/// Validates the default kernels' lambda predictions as first-order optima:
+/// snapshot (a, varphi), take one step, and check sampled rows of the
+/// resulting lambda (which the step computed from exactly that snapshot) as
+/// projected-gradient fixed points of the per-front-end sub-problem
+/// (eq. (17)). The check runs over the full row, so a coordinate the block
+/// solve got wrong shows up as a residual there.
+KktSummary validate_lambda_kkt(ufc::admm::AdmgSolver& solver) {
   using namespace ufc;
-  const int period = solver.options().screening.full_pass_every;
-  for (; steps % period != 0; ++steps) solver.step();
   const Mat a_snap = solver.a();
   const Mat varphi_snap = solver.varphi();
   solver.step();
@@ -187,7 +161,10 @@ int main() {
   for (const auto& scale : scales) {
     const auto problem = random_problem(scale.m, scale.n);
     for (int threads : thread_counts) {
-      const double us = us_per_iteration(problem, threads, scale.iterations);
+      admm::AdmgOptions options;
+      options.threads = threads;
+      admm::AdmgSolver solver(problem, options);
+      const double us = us_per_iteration(solver, 5, scale.iterations);
       const double speedup = scale.pre_pr_serial_us / us;
       table.add_row(std::to_string(scale.m),
                     {static_cast<double>(scale.n),
@@ -217,73 +194,49 @@ int main() {
   entry.set("rows", std::move(rows));
   bench::write_bench_entry("parallel_scaling", std::move(entry));
 
-  // ---- Size-scaling frontier: default kernels vs. the fast path, serial.
-  std::cout << "\n=== Size-scaling frontier (serial) ===\n";
-  std::cout << "fast path = active-set screening "
-               "(full verification pass every "
-            << admm::ActiveSetOptions{}.full_pass_every << " steps)\n\n";
-  // Timed windows are multiples of the screening period where affordable, so
-  // the fast-path mean amortizes the periodic full verification pass.
+  // ---- Size-scaling frontier: the default kernels, serial.
+  std::cout << "\n=== Size-scaling frontier (serial) ===\n\n";
   const auto frontier = bench::bench_sizes({
       {64, 16, 96},
       {256, 32, 32},
       {1024, 128, 8},
       {4096, 256, 8},
   });
-  TablePrinter frontier_table({"M", "N", "default us/iter", "fast us/iter",
-                               "pre-PR us", "default speedup", "fast speedup",
-                               "KKT max res", "KKT pass"});
+  TablePrinter frontier_table({"M", "N", "default us/iter", "pre-PR us",
+                               "default speedup", "KKT max res", "KKT pass"});
   CsvWriter frontier_csv(
       "ufc_scaling_frontier.csv",
-      {"m", "n", "iterations", "default_us_per_iter", "fast_us_per_iter",
-       "pre_pr_us", "default_speedup", "fast_speedup", "kkt_max_residual",
-       "kkt_passed"});
+      {"m", "n", "iterations", "default_us_per_iter", "pre_pr_us",
+       "default_speedup", "kkt_max_residual", "kkt_passed"});
   obs::JsonValue frontier_rows = obs::JsonValue::array();
   for (const auto& size : frontier) {
     const auto problem = random_problem(size.m, size.n);
-    const int warmup = 2;
 
     admm::AdmgOptions defaults;
     defaults.threads = 1;
-    const double default_us =
-        frontier_us_per_iteration(problem, defaults, warmup, size.iterations);
-
-    admm::AdmgOptions fast = defaults;
-    fast.screening.enabled = true;
-    admm::AdmgSolver fast_solver(problem, fast);
-    for (int k = 0; k < warmup; ++k) fast_solver.step();
-    const auto start = std::chrono::steady_clock::now();
-    for (int k = 0; k < size.iterations; ++k) fast_solver.step();
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    const double fast_us =
-        std::chrono::duration<double, std::micro>(elapsed).count() /
-        static_cast<double>(size.iterations);
-    const KktSummary kkt =
-        validate_lambda_kkt(fast_solver, warmup + size.iterations);
+    admm::AdmgSolver solver(problem, defaults);
+    const double default_us = us_per_iteration(solver, 2, size.iterations);
+    const KktSummary kkt = validate_lambda_kkt(solver);
 
     const double pre_pr = pre_frontier_serial_us(size.m, size.n);
     const double default_speedup = pre_pr > 0.0 ? pre_pr / default_us : 0.0;
-    const double fast_speedup = pre_pr > 0.0 ? pre_pr / fast_us : 0.0;
     frontier_table.add_row(
         std::to_string(size.m),
-        {static_cast<double>(size.n), default_us, fast_us, pre_pr,
-         default_speedup, fast_speedup, kkt.max_residual,
-         kkt.passed ? 1.0 : 0.0},
+        {static_cast<double>(size.n), default_us, pre_pr, default_speedup,
+         kkt.max_residual, kkt.passed ? 1.0 : 0.0},
         2);
     frontier_csv.row({static_cast<double>(size.m),
                       static_cast<double>(size.n),
                       static_cast<double>(size.iterations), default_us,
-                      fast_us, pre_pr, default_speedup, fast_speedup,
-                      kkt.max_residual, kkt.passed ? 1.0 : 0.0});
+                      pre_pr, default_speedup, kkt.max_residual,
+                      kkt.passed ? 1.0 : 0.0});
     obs::JsonValue row = obs::JsonValue::object();
     row.set("m", obs::JsonValue(static_cast<std::int64_t>(size.m)));
     row.set("n", obs::JsonValue(static_cast<std::int64_t>(size.n)));
     row.set("iterations", obs::JsonValue(size.iterations));
     row.set("default_us_per_iter", obs::JsonValue(default_us));
-    row.set("fast_us_per_iter", obs::JsonValue(fast_us));
     row.set("pre_pr_us", obs::JsonValue(pre_pr));
     row.set("default_speedup", obs::JsonValue(default_speedup));
-    row.set("fast_speedup", obs::JsonValue(fast_speedup));
     row.set("kkt_max_residual", obs::JsonValue(kkt.max_residual));
     row.set("kkt_passed", obs::JsonValue(kkt.passed));
     frontier_rows.push_back(std::move(row));

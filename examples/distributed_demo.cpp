@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
 
   net::DistributedOptions dist;
   dist.admg = options;
-  dist.loss_rate = loss_rate;
+  dist.faults.random_faults({.loss_rate = loss_rate});
   net::DistributedAdmgRuntime runtime(problem, dist);
   const auto report = runtime.run();
 

@@ -239,9 +239,9 @@ def check_iteration_frontier(section, errors: Errors, where: str) -> None:
 
 def check_scaling_frontier(section, errors: Errors, where: str) -> None:
     """The bench_parallel_scaling frontier: rows of {m, n, iterations,
-    default_us_per_iter, fast_us_per_iter, ..., kkt_max_residual,
-    kkt_passed}. Fails closed: a row whose fast-path lambda rows failed the
-    KKT check is an error, not a number to report."""
+    default_us_per_iter, ..., kkt_max_residual, kkt_passed}. Fails closed: a
+    row whose default-kernel lambda rows failed the KKT check is an error,
+    not a number to report."""
     if not isinstance(section, list) or not section:
         errors.add(where, "must be a non-empty list of rows")
         return
@@ -255,8 +255,7 @@ def check_scaling_frontier(section, errors: Errors, where: str) -> None:
             if not isinstance(value, int) or isinstance(value, bool) or \
                     value <= 0:
                 errors.add(here, f"{key!r} must be a positive integer")
-        for key in ("default_us_per_iter", "fast_us_per_iter",
-                    "kkt_max_residual"):
+        for key in ("default_us_per_iter", "kkt_max_residual"):
             value = row.get(key)
             if not is_number(value) or \
                     (isinstance(value, (int, float)) and value < 0):
@@ -266,8 +265,8 @@ def check_scaling_frontier(section, errors: Errors, where: str) -> None:
             errors.add(here, '"kkt_passed" must be a boolean')
         elif not passed:
             errors.add(here, f"KKT check failed (kkt_max_residual "
-                             f"{row.get('kkt_max_residual')!r}): the fast "
-                             "path's lambda rows are not optimal")
+                             f"{row.get('kkt_max_residual')!r}): the "
+                             "default kernels' lambda rows are not optimal")
 
 
 def check_controller(section, errors: Errors, where: str) -> None:
@@ -514,9 +513,8 @@ def self_test() -> int:
             self.assertTrue(messages_for(self._frontier_doc([])))
 
         SCALING_ROW = {"m": 64, "n": 16, "iterations": 8,
-                       "default_us_per_iter": 40.0, "fast_us_per_iter": 35.0,
-                       "pre_pr_us": 5424.5, "default_speedup": 135.6,
-                       "fast_speedup": 155.0, "kkt_max_residual": 8.8e-16,
+                       "default_us_per_iter": 40.0, "pre_pr_us": 5424.5,
+                       "default_speedup": 135.6, "kkt_max_residual": 8.8e-16,
                        "kkt_passed": True}
 
         def _scaling_doc(self, rows):
@@ -537,6 +535,11 @@ def self_test() -> int:
         def test_scaling_frontier_missing_kkt_verdict_fails(self):
             row = dict(self.SCALING_ROW)
             del row["kkt_passed"]
+            self.assertTrue(messages_for(self._scaling_doc([row])))
+
+        def test_scaling_frontier_missing_default_time_fails(self):
+            row = dict(self.SCALING_ROW)
+            del row["default_us_per_iter"]
             self.assertTrue(messages_for(self._scaling_doc([row])))
 
         def test_scaling_frontier_empty_rows_fail(self):

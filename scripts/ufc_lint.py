@@ -47,6 +47,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE_ROOTS = ("src", "tests", "bench", "examples", "perfbench")
 DOT_PATH = "docs/include_layers.dot"
+LINT_SCRIPT = "scripts/ufc_lint.py"
 CI_WORKFLOW = ".github/workflows/ci.yml"
 SCHEMA = "ufc-findings-v2"
 EXIT_USAGE = 2
@@ -649,17 +650,15 @@ def check_global_state(tree: Tree):
 
 # ---------------------------------------------------------------------------
 # Rules on the iteration hot path: no-alloc-in-step, step-exceptions,
-# finite-iterate-guard
+# finite-iterate-guard, hot-path-live
 # ---------------------------------------------------------------------------
-# The per-iteration hot path: InProcessExecutor::step, the pass helpers it
-# dispatches to, and the two block solvers those passes call once per row or
-# column. Every Mat/Vec they need lives in workspaces sized once in reset()
-# or grown on the first block solve. (AdmgSolver::step is inline in
-# admm/admg.hpp and only forwards to the engine.)
+# The per-iteration hot path: InProcessExecutor::step, the datacenter pass it
+# calls, and the two block solvers the passes call once per row or column.
+# Every Mat/Vec they need lives in workspaces sized once in reset() or grown
+# on the first block solve. (AdmgSolver::step is inline in admm/admg.hpp and
+# only forwards to the engine.)
 HOT_PATH = ("InProcessExecutor::step",
             "InProcessExecutor::run_full_datacenter_pass",
-            "InProcessExecutor::run_screened_lambda_pass",
-            "InProcessExecutor::run_screened_datacenter_pass",
             "solve_lambda_block_into", "solve_a_block_into")
 # The iteration loop itself. It is exception-free like the hot path, but
 # not allocation-free: it packages the report once, after the loop.
@@ -712,6 +711,20 @@ def check_finite_iterate_guard(tree: Tree):
              "go undetected")
             for d in _definitions_of(tree, ENGINE_LOOP)
             if ".observe(" not in d.body]
+
+
+def check_hot_path_live(tree: Tree):
+    # The hot-path rules audit only the functions the tables name, so an
+    # entry left behind by a rename or deletion would silently audit nothing.
+    script = Path(__file__).read_text().splitlines()
+    return [(LINT_SCRIPT,
+             next((i + 1 for i, line in enumerate(script)
+                   if f'"{name}"' in line), 1),
+             f"hot-path table entry `{name}` names no definition under "
+             f"{', '.join(SOURCE_ROOTS)}: the hot-path rules would check "
+             "nothing for it — update HOT_PATH / ENGINE_LOOP")
+            for name in HOT_PATH + (ENGINE_LOOP,)
+            if not _definitions_of(tree, name)]
 
 
 # ---------------------------------------------------------------------------
@@ -1047,6 +1060,9 @@ RULES = {
     "finite-iterate-guard": (check_finite_iterate_guard,
                              "the engine loop consults "
                              "SolverWatchdog::observe"),
+    "hot-path-live": (check_hot_path_live,
+                      "every HOT_PATH / ENGINE_LOOP entry names a "
+                      "definition"),
     "engine-single-loop": (check_engine_single_loop,
                            "GBS correction arithmetic only in "
                            "src/admm/engine.cpp"),
@@ -1171,6 +1187,15 @@ FLAGGED, CLEAN = [""], []
 LAYERING = "include-layering dangling-include include-cycle"
 WIDGET_HPP = "#pragma once\nclass Widget {\n public:\n  void poke(int value);\n};\n"
 CHRONO = "auto t = std::chrono::steady_clock::now();\n"
+# One definition of every HOT_PATH and ENGINE_LOOP entry.
+HOT_PATH_ENGINE = ("void InProcessExecutor::step(int iteration) {\n  run();\n}\n"
+                   "SolveCore AdmgEngine::solve(BlockExecutor& executor) {\n"
+                   "  return run(executor);\n}\n")
+HOT_PATH_BLOCKS = ("void solve_lambda_block_into(const LambdaBlockInputs& in) {\n"
+                   "  run(in);\n}\n"
+                   "void solve_a_block_into(const ABlockInputs& in) {\n"
+                   "  run(in);\n}\n")
+DATACENTER_PASS = "void InProcessExecutor::run_full_datacenter_pass() {\n  run();\n}\n"
 
 # (case, rules checked, {path: text}, one message substring per expected
 # finding of those rules, after suppression)
@@ -1282,8 +1307,8 @@ FIXTURES = [
       "  solve_a_block_into(in, out.span(), ws);\n  return out;\n}\n"}, CLEAN),
     ("no_alloc_in_step_pass_helper_flagged", "no-alloc-in-step",
      {"src/admm/engine.cpp":
-      "void InProcessExecutor::run_screened_datacenter_pass() {\n"
-      "  Vec scratch(n_);\n  use(scratch);\n}\n"}, FLAGGED),
+      "void InProcessExecutor::run_full_datacenter_pass() {\n"
+      "  a_t_ = Mat(n_, m_);\n}\n"}, FLAGGED),
     # no-sort-in-hot-path
     ("no_sort_in_hot_path_admm_flagged", "no-sort-in-hot-path",
      {"src/admm/blocks.cpp":
@@ -1490,10 +1515,17 @@ FIXTURES = [
                              "void InProcessExecutor::reset() { throw 1; }\n"
                              "void InProcessExecutor::step(int iteration) {\n"
                              "  counter_ += iteration;\n}\n}\n"}, CLEAN),
-    ("throw_in_screened_lambda_pass_flagged", "step-exceptions",
-     {"src/admm/engine.cpp": "void InProcessExecutor::run_screened_lambda_pass() {\n"
-                             "  if (rows_.empty()) throw 1;\n}\n"},
-     ["run_screened_lambda_pass"]),
+    ("throw_in_datacenter_pass_flagged", "step-exceptions",
+     {"src/admm/engine.cpp": "void InProcessExecutor::run_full_datacenter_pass() {\n"
+                             "  if (n_ == 0) throw 1;\n}\n"},
+     ["run_full_datacenter_pass"]),
+    # hot-path-live
+    ("hot_path_live_every_entry_defined_ok", "hot-path-live",
+     {"src/admm/engine.cpp": HOT_PATH_ENGINE + DATACENTER_PASS,
+      "src/admm/blocks.cpp": HOT_PATH_BLOCKS}, CLEAN),
+    ("hot_path_live_entry_without_definition_flagged", "hot-path-live",
+     {"src/admm/engine.cpp": HOT_PATH_ENGINE,
+      "src/admm/blocks.cpp": HOT_PATH_BLOCKS}, ["run_full_datacenter_pass"]),
     # expects-reach
     ("expects_guard_missing", "expects-reach",
      {"src/math/p.hpp": "#pragma once\n"

@@ -71,7 +71,7 @@ class AdmgSolver {
 
   /// Applies a sparse tick update to the live problem (engine.hpp
   /// ProblemUpdate): validates the batch, mutates the problem in place,
-  /// invalidates screening/certification caches and projects the warm
+  /// invalidates the certification caches and projects the warm
   /// iterate back into the primal box if a capacity shrank under it.
   void apply_update(const ProblemUpdate& update) {
     exec_.apply_update(update);

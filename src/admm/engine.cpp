@@ -148,7 +148,6 @@ InProcessExecutor::InProcessExecutor(const UfcProblem& problem,
   UFC_EXPECTS(options_.max_iterations > 0);
   UFC_EXPECTS(options_.tolerance > 0.0);
   UFC_EXPECTS(options_.threads >= 0);
-  UFC_EXPECTS(options_.screening.full_pass_every >= 1);
 
   sigma_ = options_.workload_scale > 0.0 ? options_.workload_scale
                                          : natural_workload_scale(original_);
@@ -174,9 +173,6 @@ InProcessExecutor::InProcessExecutor(const UfcProblem& problem,
 void InProcessExecutor::enable_partial(double participation,
                                        std::uint64_t seed) {
   UFC_EXPECTS(participation > 0.0 && participation < 1.0);
-  // A straggler's cached lambda row bypasses the screened-pass bookkeeping,
-  // so the support invariants cannot be maintained under both models.
-  UFC_EXPECTS(!options_.screening.enabled);
   partial_ = true;
   participation_ = participation;
   rng_ = Rng(seed);
@@ -220,25 +216,8 @@ void InProcessExecutor::reset() {
   a_col_sum_post_.resize(n_);
   post_sums_fresh_ = false;
   participate_.assign(m_, 1);
-  const std::size_t max_dim = std::max(m_, n_);
   scratch_.resize(pool_.thread_count());
-  for (auto& ws : scratch_) {
-    ws.a_new.resize(m_);
-    // Compact gather buffers reach max capacity here; the screened passes
-    // resize them per row/column strictly within that capacity.
-    ws.sub_latency.resize(max_dim);
-    ws.sub_a.resize(max_dim);
-    ws.sub_varphi.resize(max_dim);
-    ws.sub_lambda.resize(max_dim);
-    ws.sub_out.resize(max_dim);
-    ws.support_scratch.reserve(m_);
-  }
-  row_support_.assign(m_, {});
-  col_support_.assign(n_, {});
-  chunk_grew_.assign(pool_.thread_count(), 0);
-  screen_ready_ = false;
-  screen_verified_ = false;
-  steps_since_full_ = 0;
+  for (auto& ws : scratch_) ws.a_new.resize(m_);
   chunk_change_.assign(pool_.thread_count(), 0.0);
   chunk_predict_seconds_.assign(pool_.thread_count(), 0.0);
   chunk_correct_seconds_.assign(pool_.thread_count(), 0.0);
@@ -269,14 +248,8 @@ void InProcessExecutor::set_iterate(std::span<const double> values) {
   std::copy(src, src + nu_.size(), nu_.data());
   src += nu_.size();
   std::copy(src, src + phi_.size(), phi_.data());
-  // The replaced iterate invalidates every cache that described the stepped
-  // one: the maintained column sums, and the active-set supports (an
-  // accelerated iterate may repopulate entries a screened pass zeroed, so
-  // the next step must be a full verification pass).
+  // The maintained column sums described the stepped iterate.
   post_sums_fresh_ = false;
-  screen_ready_ = false;
-  screen_verified_ = false;
-  steps_since_full_ = 0;
 }
 
 void InProcessExecutor::clamp_iterate(std::span<double> values) const {
@@ -325,7 +298,7 @@ double InProcessExecutor::objective() const {
 }
 
 bool InProcessExecutor::is_converged() const {
-  return stepped_ && inputs_fresh(0) &&
+  return stepped_ &&
          balance_residual() / balance_scale_ < options_.tolerance &&
          copy_residual() / copy_scale_ < options_.tolerance &&
          last_change_ / copy_scale_ < options_.tolerance;
@@ -350,15 +323,6 @@ void InProcessExecutor::step(int /*iteration*/) {
   }
   const double rho = options_.rho;
 
-  // Pass mode: with screening enabled, full (unrestricted) verification
-  // passes run first thing and every full_pass_every-th step; everything in
-  // between runs restricted to the current supports. The facade always
-  // passes iteration 0, so scheduling uses the internal counter.
-  const bool screening = options_.screening.enabled;
-  const bool full_pass =
-      !screening || !screen_ready_ ||
-      steps_since_full_ + 1 >= options_.screening.full_pass_every;
-
   // Straggler draws happen serially in ascending front-end order before the
   // parallel pass, so the consumed random stream (and therefore the iterate
   // sequence) is independent of the thread count.
@@ -371,8 +335,7 @@ void InProcessExecutor::step(int /*iteration*/) {
 
   // Cache the column sums of a^k once per step. The row-major pass adds each
   // column's entries in increasing-i order, which is bitwise the same as
-  // Mat::col_sum and as the runtime agent's sum(a_). (Out-of-support entries
-  // are exact zeros, so the screened iterate loses nothing here.)
+  // Mat::col_sum and as the runtime agent's sum(a_).
   a_col_sum_.fill(0.0);
   for (std::size_t i = 0; i < m_; ++i) {
     const auto row = a_.row_span(i);
@@ -382,36 +345,32 @@ void InProcessExecutor::step(int /*iteration*/) {
   // ---- Step 1.1: lambda predictions, one independent task per front-end.
   const auto lambda_pass_started =
       profile_ ? monotonic_now() : MonotonicTick{};
-  if (full_pass) {
-    pool_.parallel_for_chunks(
-        0, m_, [&](std::size_t begin, std::size_t end, std::size_t c) {
-          BlockWorkspace& ws = scratch_[c].blocks;
-          for (std::size_t i = begin; i < end; ++i) {
-            if (partial_ && participate_[i] == 0) {
-              // Straggler: the coordinator keeps this front-end's cached
-              // prediction. lambda_ holds the previous step's predictions
-              // (post-swap), so copying the row into lambda~ reproduces the
-              // stale proposal exactly; at the cold start both rows are zero.
-              const auto cached = lambda_.row_span(i);
-              const auto stale = lambda_tilde_.row_span(i);
-              std::copy(cached.begin(), cached.end(), stale.begin());
-              continue;
-            }
-            LambdaBlockInputs in;
-            in.arrival = problem_.arrivals[i];
-            in.latency_row = problem_.latency_s.row_span(i);
-            in.a_row = a_.row_span(i);
-            in.varphi_row = varphi_.row_span(i);
-            in.rho = rho;
-            in.latency_weight = problem_.latency_weight;
-            in.utility = problem_.utility.get();
-            solve_lambda_block_into(in, lambda_.row_span(i),
-                                    lambda_tilde_.row_span(i), ws);
+  pool_.parallel_for_chunks(
+      0, m_, [&](std::size_t begin, std::size_t end, std::size_t c) {
+        BlockWorkspace& ws = scratch_[c].blocks;
+        for (std::size_t i = begin; i < end; ++i) {
+          if (partial_ && participate_[i] == 0) {
+            // Straggler: the coordinator keeps this front-end's cached
+            // prediction. lambda_ holds the previous step's predictions
+            // (post-swap), so copying the row into lambda~ reproduces the
+            // stale proposal exactly; at the cold start both rows are zero.
+            const auto cached = lambda_.row_span(i);
+            const auto stale = lambda_tilde_.row_span(i);
+            std::copy(cached.begin(), cached.end(), stale.begin());
+            continue;
           }
-        });
-  } else {
-    run_screened_lambda_pass();
-  }
+          LambdaBlockInputs in;
+          in.arrival = problem_.arrivals[i];
+          in.latency_row = problem_.latency_s.row_span(i);
+          in.a_row = a_.row_span(i);
+          in.varphi_row = varphi_.row_span(i);
+          in.rho = rho;
+          in.latency_weight = problem_.latency_weight;
+          in.utility = problem_.utility.get();
+          solve_lambda_block_into(in, lambda_.row_span(i),
+                                  lambda_tilde_.row_span(i), ws);
+        }
+      });
 
   if (profile_)
     profile_last_.lambda_pass_seconds =
@@ -421,11 +380,7 @@ void InProcessExecutor::step(int /*iteration*/) {
   // reads only iteration-k state of its own column (plus lambda~ and the
   // column-sum cache, both finalized above), so tasks are independent.
   std::fill(chunk_change_.begin(), chunk_change_.end(), 0.0);
-  if (full_pass) {
-    run_full_datacenter_pass();
-  } else {
-    run_screened_datacenter_pass();
-  }
+  run_full_datacenter_pass();
 
   if (profile_) {
     // Summed worker-thread time (not wall time): chunks overlap, so the
@@ -437,25 +392,9 @@ void InProcessExecutor::step(int /*iteration*/) {
   }
 
   // lambda is the first block: accepted as predicted. Swapping (instead of
-  // moving) keeps lambda_tilde_'s storage for the next step; a full pass
-  // rewrites every row, a screened pass zero-fills and scatters every row.
+  // moving) keeps lambda_tilde_'s storage for the next step; the lambda pass
+  // rewrites every row.
   std::swap(lambda_, lambda_tilde_);
-
-  if (screening) {
-    if (full_pass) {
-      rebuild_row_supports();
-      bool grew = false;
-      for (const unsigned char g : chunk_grew_) grew = grew || g != 0;
-      // The convergence gate: only a full pass whose support did not grow
-      // may certify the iterate (ActiveSetOptions contract).
-      screen_verified_ = !grew;
-      screen_ready_ = true;
-      steps_since_full_ = 0;
-    } else {
-      screen_verified_ = false;
-      ++steps_since_full_;
-    }
-  }
 
   // max is exact and order-insensitive, so the cross-chunk reduction is
   // bit-identical for every chunking.
@@ -471,8 +410,7 @@ void InProcessExecutor::step(int /*iteration*/) {
 // of the N x M transposes instead of gathering/scattering strided columns of
 // the row-major primaries. Values and evaluation order are identical to the
 // former col_into/set_col formulation bit for bit — only the memory layout
-// changed. With screening enabled this pass additionally rebuilds each
-// column's support from the corrected state and records growth.
+// changed.
 void InProcessExecutor::run_full_datacenter_pass() {
   using util::monotonic_now;
   using util::MonotonicTick;
@@ -482,12 +420,10 @@ void InProcessExecutor::run_full_datacenter_pass() {
   const bool pin_nu = options_.pinning == BlockPinning::PinNu;
   const bool gbs = options_.gaussian_back_substitution;
   const double eps = gbs ? options_.epsilon : 1.0;
-  const bool screening = options_.screening.enabled;
 
   varphi_.transpose_into(varphi_t_);
   lambda_tilde_.transpose_into(lambda_tilde_t_);
   a_.transpose_into(a_t_);
-  std::fill(chunk_grew_.begin(), chunk_grew_.end(), 0);
 
   pool_.parallel_for_chunks(
       0, n_, [&](std::size_t begin, std::size_t end, std::size_t c) {
@@ -537,7 +473,6 @@ void InProcessExecutor::run_full_datacenter_pass() {
           const auto varphi_col = varphi_t_.row_span(j);
           const auto lambda_col = lambda_tilde_t_.row_span(j);
           const auto a_col = a_t_.row_span(j);
-          ws.a_new.resize(m_);
           {
             ABlockInputs in;
             in.alpha = alpha;
@@ -586,34 +521,6 @@ void InProcessExecutor::run_full_datacenter_pass() {
                                       nu_tilde, mu_tilde, beta, corr.delta_sum,
                                       eps, gbs, pin_mu, pin_nu));
 
-          if (screening) {
-            // Rebuild this column's support from the corrected state: the
-            // combined nonzero pattern of a (post-correction) and lambda~
-            // (which becomes lambda at the end-of-step swap).
-            auto& fresh = ws.support_scratch;
-            fresh.clear();
-            for (std::size_t i = 0; i < m_; ++i) {
-              // ufc-lint: allow(float-equal) — support membership is defined
-              // by exact zeros: the projections emit hard zeros and screened
-              // passes never write outside the support.
-              if (a_col[i] != 0.0 || lambda_col[i] != 0.0)
-                fresh.push_back(static_cast<std::uint32_t>(i));
-            }
-            auto& previous = col_support_[j];
-            // Growth = any fresh index absent from the previous support
-            // (both ascending; merge scan).
-            bool grew = false;
-            std::size_t p = 0;
-            for (const std::uint32_t i : fresh) {
-              while (p < previous.size() && previous[p] < i) ++p;
-              if (p == previous.size() || previous[p] != i) {
-                grew = true;
-                break;
-              }
-            }
-            if (grew) chunk_grew_[c] = 1;
-            previous.assign(fresh.begin(), fresh.end());
-          }
           if (profile_)
             chunk_correct_seconds_[c] +=
                 seconds_between(correction_started, monotonic_now());
@@ -623,204 +530,6 @@ void InProcessExecutor::run_full_datacenter_pass() {
 
   varphi_t_.transpose_into(varphi_);
   a_t_.transpose_into(a_);
-}
-
-// Restricted lambda pass: each front-end solves its sub-problem over its
-// support set only. The restriction is exact for the restricted problem —
-// out-of-support lambda entries are exact zeros, so the latency, dual and
-// proximal terms they would contribute are constants — but the restricted
-// solve projects a shorter vector, whose threshold rounds differently, so
-// screened iterates are not bit-identical to unscreened ones.
-void InProcessExecutor::run_screened_lambda_pass() {
-  const double rho = options_.rho;
-  pool_.parallel_for_chunks(
-      0, m_, [&](std::size_t begin, std::size_t end, std::size_t c) {
-        WorkerScratch& ws = scratch_[c];
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto out_row = lambda_tilde_.row_span(i);
-          // Zero the whole prediction row first: lambda_tilde_ holds the
-          // two-steps-old lambda after the swap cycle, which may have
-          // support the pattern has since dropped.
-          std::fill(out_row.begin(), out_row.end(), 0.0);
-          if (problem_.arrivals[i] <= 0.0) continue;
-          const auto& support = row_support_[i];
-          LambdaBlockInputs in;
-          in.arrival = problem_.arrivals[i];
-          in.rho = rho;
-          in.latency_weight = problem_.latency_weight;
-          in.utility = problem_.utility.get();
-          if (support.empty()) {
-            // Defensive: a positive-arrival row always has support after a
-            // full pass (its lambda row sums to the arrival). Solve the
-            // full row rather than emit an infeasible all-zero row.
-            in.latency_row = problem_.latency_s.row_span(i);
-            in.a_row = a_.row_span(i);
-            in.varphi_row = varphi_.row_span(i);
-            solve_lambda_block_into(in, lambda_.row_span(i), out_row,
-                                    ws.blocks);
-            continue;
-          }
-          const std::size_t s = support.size();
-          ws.sub_latency.resize(s);
-          ws.sub_a.resize(s);
-          ws.sub_varphi.resize(s);
-          ws.sub_out.resize(s);
-          const auto lat = problem_.latency_s.row_span(i);
-          const auto a_row = a_.row_span(i);
-          const auto varphi_row = varphi_.row_span(i);
-          for (std::size_t k = 0; k < s; ++k) {
-            const std::size_t j = support[k];
-            ws.sub_latency[k] = lat[j];
-            ws.sub_a[k] = a_row[j];
-            ws.sub_varphi[k] = varphi_row[j];
-          }
-          in.latency_row = ws.sub_latency.span();
-          in.a_row = ws.sub_a.span();
-          in.varphi_row = ws.sub_varphi.span();
-          // The solve is exact from any start, so the output buffer also
-          // serves as the warm start (only its size is read).
-          solve_lambda_block_into(in, ws.sub_out.span(), ws.sub_out.span(),
-                                  ws.blocks);
-          for (std::size_t k = 0; k < s; ++k)
-            out_row[support[k]] = ws.sub_out[k];
-        }
-      });
-}
-
-// Restricted datacenter pass: mu, nu and phi keep their exact full
-// arithmetic (they depend on the column sums, which the exact-zero support
-// invariant preserves); the a solve and the varphi/a corrections run on the
-// compact support gather only, and out-of-support varphi entries stay frozen
-// (their correction would be a no-op: a~ = lambda~ = 0 there).
-void InProcessExecutor::run_screened_datacenter_pass() {
-  using util::monotonic_now;
-  using util::MonotonicTick;
-  using util::seconds_between;
-  const double rho = options_.rho;
-  const bool pin_mu = options_.pinning == BlockPinning::PinMu;
-  const bool pin_nu = options_.pinning == BlockPinning::PinNu;
-  const bool gbs = options_.gaussian_back_substitution;
-  const double eps = gbs ? options_.epsilon : 1.0;
-
-  pool_.parallel_for_chunks(
-      0, n_, [&](std::size_t begin, std::size_t end, std::size_t c) {
-        WorkerScratch& ws = scratch_[c];
-        double change = 0.0;
-        for (std::size_t j = begin; j < end; ++j) {
-          const auto column_started =
-              profile_ ? monotonic_now() : MonotonicTick{};
-          const double alpha = problem_.alpha_mw(j);
-          const double beta = problem_.beta_mw(j);
-          const double a_col_sum_k = a_col_sum_[j];
-
-          double mu_tilde = 0.0;
-          if (!pin_mu) {
-            MuBlockInputs in;
-            in.alpha = alpha;
-            in.beta = beta;
-            in.a_col_sum = a_col_sum_k;
-            in.nu = nu_[j];
-            in.phi = phi_[j];
-            in.rho = rho;
-            in.fuel_cell_price = problem_.fuel_cell_price;
-            in.mu_max = problem_.datacenters[j].fuel_cell_capacity_mw;
-            mu_tilde = solve_mu_block(in);
-          }
-
-          double nu_tilde = 0.0;
-          if (!pin_nu) {
-            NuBlockInputs in;
-            in.alpha = alpha;
-            in.beta = beta;
-            in.a_col_sum = a_col_sum_k;
-            in.mu = mu_tilde;
-            in.phi = phi_[j];
-            in.rho = rho;
-            in.grid_price = problem_.datacenters[j].grid_price;
-            in.carbon_tons_per_mwh =
-                problem_.datacenters[j].carbon_rate / 1000.0;
-            in.emission_cost = problem_.datacenters[j].emission_cost.get();
-            nu_tilde = solve_nu_block(in);
-          }
-
-          const auto& support = col_support_[j];
-          const std::size_t s = support.size();
-          double a_tilde_sum = 0.0;
-          ABlockCorrection corr;
-          if (s > 0) {
-            ws.sub_varphi.resize(s);
-            ws.sub_lambda.resize(s);
-            ws.sub_a.resize(s);
-            ws.a_new.resize(s);
-            const double* varphi_base = varphi_.data();
-            const double* lambda_base = lambda_tilde_.data();
-            const double* a_base = a_.data();
-            for (std::size_t k = 0; k < s; ++k) {
-              const std::size_t idx = support[k] * n_ + j;
-              ws.sub_varphi[k] = varphi_base[idx];
-              ws.sub_lambda[k] = lambda_base[idx];
-              ws.sub_a[k] = a_base[idx];
-            }
-            ABlockInputs in;
-            in.alpha = alpha;
-            in.beta = beta;
-            in.mu = mu_tilde;
-            in.nu = nu_tilde;
-            in.phi = phi_[j];
-            in.varphi_col = ws.sub_varphi.span();
-            in.lambda_col = ws.sub_lambda.span();
-            in.rho = rho;
-            in.capacity = problem_.datacenters[j].servers;
-            solve_a_block_into(in, ws.sub_a.span(), ws.a_new.span(),
-                               ws.blocks);
-            for (std::size_t k = 0; k < s; ++k) a_tilde_sum += ws.a_new[k];
-          }
-          const double phi_tilde = update_phi(phi_[j], rho, alpha, beta,
-                                              a_tilde_sum, mu_tilde, nu_tilde);
-
-          const auto correction_started =
-              profile_ ? monotonic_now() : MonotonicTick{};
-          if (profile_)
-            chunk_predict_seconds_[c] +=
-                seconds_between(column_started, correction_started);
-
-          double col_total = 0.0;
-          if (s > 0) {
-            correct_varphi_block(ws.sub_varphi.span(), ws.a_new.span(),
-                                 ws.sub_lambda.span(), rho, eps, gbs);
-            corr = correct_a_block(ws.sub_a.span(), ws.a_new.span(), eps, gbs);
-            double* varphi_base = varphi_.data();
-            double* a_base = a_.data();
-            // Scatter back and accumulate the post-correction column sum in
-            // increasing-i order; the skipped entries are exact zeros, which
-            // are additive identities on these nonnegative partial sums, so
-            // the result is bitwise equal to the full-column scan.
-            for (std::size_t k = 0; k < s; ++k) {
-              const std::size_t idx = support[k] * n_ + j;
-              varphi_base[idx] = ws.sub_varphi[k];
-              a_base[idx] = ws.sub_a[k];
-              col_total += ws.sub_a[k];
-            }
-          }
-          a_col_sum_post_[j] = col_total;
-          change = std::max(change, corr.max_change);
-          change = std::max(
-              change, correct_sources(phi_[j], nu_[j], mu_[j], phi_tilde,
-                                      nu_tilde, mu_tilde, beta, corr.delta_sum,
-                                      eps, gbs, pin_mu, pin_nu));
-          if (profile_)
-            chunk_correct_seconds_[c] +=
-                seconds_between(correction_started, monotonic_now());
-        }
-        chunk_change_[c] = change;
-      });
-}
-
-void InProcessExecutor::rebuild_row_supports() {
-  for (auto& row : row_support_) row.clear();
-  for (std::size_t j = 0; j < n_; ++j)
-    for (const std::uint32_t i : col_support_[j])
-      row_support_[i].push_back(static_cast<std::uint32_t>(j));
 }
 
 void InProcessExecutor::set_problem(const UfcProblem& problem) {
@@ -836,11 +545,7 @@ void InProcessExecutor::set_problem(const UfcProblem& problem) {
   update_residual_scales();
   stepped_ = false;  // convergence must be re-established on the new slot
   // The warm-started iterate carries over, so the cached post-correction
-  // column sums stay valid — but the supports were certified against the old
-  // problem, so the next step must be a full verification pass.
-  screen_ready_ = false;
-  screen_verified_ = false;
-  steps_since_full_ = 0;
+  // column sums stay valid.
   // The new slot may have shrunk a fuel-cell cap below the warm mu_j (an
   // outage at a slot boundary): project rather than iterate from an
   // infeasible point the block solvers' contracts do not cover.
@@ -900,16 +605,11 @@ void InProcessExecutor::apply_update(const ProblemUpdate& update) {
   }
 
   // Invalidate everything that described the pre-update problem: residual
-  // scales, the convergence-certification gate (stepped_), the active-set
-  // supports and the cached post-correction column sums. set_problem/restore
-  // already guaranteed this; a live mutation path without the same
-  // invalidation is exactly where stale-screening bugs hide.
+  // scales, the convergence-certification gate (stepped_) and the cached
+  // post-correction column sums.
   update_residual_scales();
   stepped_ = false;
   post_sums_fresh_ = false;
-  screen_ready_ = false;
-  screen_verified_ = false;
-  steps_since_full_ = 0;
   // A shrunken cap can leave the warm mu_j outside the new primal box.
   repair_iterate_bounds();
 }
@@ -981,14 +681,8 @@ void InProcessExecutor::restore(std::span<const std::byte> bytes) {
   wire::read_f64s(bytes, offset, nu_.span());
   wire::read_f64s(bytes, offset, phi_.span());
   UFC_EXPECTS(offset == bytes.size());
-  // Screening bookkeeping is deliberately not serialized (the checkpoint
-  // format predates it and a restored run may use different options): force
-  // the next step to be a full verification pass, and drop the cached
-  // column sums, which describe the pre-restore iterate.
+  // The cached column sums describe the pre-restore iterate.
   post_sums_fresh_ = false;
-  screen_ready_ = false;
-  screen_verified_ = false;
-  steps_since_full_ = 0;
 }
 
 PartialParticipationExecutor::PartialParticipationExecutor(

@@ -47,26 +47,6 @@ enum class BlockPinning {
   PinNu,  ///< FuelCell strategy: nu_j = 0 for all j (needs full fuel-cell capacity).
 };
 
-/// Active-set screening for the in-process executor (scaling feature; see
-/// docs/PERFORMANCE.md "Scaling frontier"). At the optimum most lambda_ij
-/// are zero — each front-end routes to a few near datacenters — so between
-/// periodic full passes the lambda and a solves are restricted to the
-/// current support pattern (the combined nonzero pattern of lambda and a,
-/// maintained per row and per column). Exactness contract: every
-/// `full_pass_every`-th step runs the unrestricted pass and rebuilds the
-/// supports; convergence is only ever declared on an iterate produced by a
-/// full pass whose support did not grow (a growing full pass resets that
-/// gate). Screened iterates are NOT bit-identical to unscreened ones — the
-/// restricted solves project shorter vectors, which round differently — but
-/// the fixed point is validated by the same residual gate and the KKT
-/// checker.
-struct ActiveSetOptions {
-  bool enabled = false;
-  /// Period of unrestricted verification passes. 1 = every pass full
-  /// (screening effectively off, gate bookkeeping only).
-  int full_pass_every = 8;
-};
-
 /// Iterate acceleration (docs/SOLVER_INGREDIENTS.md).
 enum class Acceleration {
   None,      ///< Accept the plain step (default; the pinned baseline loop).
@@ -106,9 +86,6 @@ struct AdmgOptions {
   bool gaussian_back_substitution = true;
   /// Empty; see InnerSolverOptions.
   InnerSolverOptions inner;
-  /// Active-set screening (in-process executor only; incompatible with the
-  /// straggler model, ignored by the message-passing runtime).
-  ActiveSetOptions screening;
   BlockPinning pinning = BlockPinning::None;
   /// Record per-iteration residuals/objective (costs one evaluate() per
   /// iteration; cheap at paper scale).
@@ -284,7 +261,7 @@ class BlockExecutor {
   virtual std::size_t iterate_size() const { return 0; }
   virtual void copy_iterate(std::span<double> out) const { (void)out; }
   /// Replaces the current iterate with `values` (same stacking as
-  /// copy_iterate) and invalidates residual/screening caches. last_change()
+  /// copy_iterate) and invalidates the residual caches. last_change()
   /// keeps reporting the preceding plain step's movement — the dual-residual
   /// proxy of the map evaluation, which the convergence gate deliberately
   /// keeps (an accelerated iterate only certifies once the underlying step
@@ -309,14 +286,6 @@ class InProcessExecutor : public BlockExecutor {
   InProcessExecutor(const UfcProblem& problem, AdmgOptions options);
 
   void step(int iteration) override;
-  /// With screening enabled, false until the most recent step was a full
-  /// (unrestricted) pass whose support pattern did not grow — the engine's
-  /// convergence gate therefore never accepts a screened iterate. Always
-  /// true with screening disabled.
-  bool inputs_fresh(int iteration) const override {
-    (void)iteration;
-    return !options_.screening.enabled || screen_verified_;
-  }
   void set_phase_profiling(bool enabled) override { profile_ = enabled; }
   const PhaseProfile* phase_profile() const override {
     return profile_ ? &profile_last_ : nullptr;
@@ -349,10 +318,10 @@ class InProcessExecutor : public BlockExecutor {
   /// Applies a sparse tick update to the live problem in place (the
   /// streaming analogue of set_problem: no full-problem copy, no
   /// re-validation of untouched rows). The warm iterate carries over; every
-  /// cache that described the pre-update problem — active-set supports, the
-  /// convergence-certification gate, the maintained column sums, residual
-  /// scales — is invalidated, and an iterate left outside the new primal box
-  /// (a fuel-cell cap shrinking below the warm mu_j) is routed through the
+  /// cache that described the pre-update problem — the convergence-
+  /// certification gate, the maintained column sums, residual scales — is
+  /// invalidated, and an iterate left outside the new primal box (a
+  /// fuel-cell cap shrinking below the warm mu_j) is routed through the
   /// clamp_iterate feasibility projection before the next step.
   void apply_update(const ProblemUpdate& update);
 
@@ -379,10 +348,7 @@ class InProcessExecutor : public BlockExecutor {
 
   /// Serializes the complete iterate (primal, dual, last-change tracking)
   /// with the shared wire codec. A restored executor continues
-  /// bit-identically to one that never paused — for default options; the
-  /// active-set bookkeeping is deliberately NOT serialized, so a restored
-  /// screened run re-verifies with a full pass first (exactness preserved,
-  /// step-for-step trajectory not).
+  /// bit-identically to one that never paused.
   std::vector<std::byte> checkpoint() const;
   /// Restores a checkpoint() image. The executor must hold a problem with
   /// the same dimensions and workload normalization; anything else
@@ -396,23 +362,17 @@ class InProcessExecutor : public BlockExecutor {
   /// cached one from its last participating step. Requires
   /// participation in (0, 1); at exactly 1 the model is left disabled so the
   /// step consumes no randomness and stays bit-identical to the synchronous
-  /// path. Incompatible with active-set screening (a straggler's cached
-  /// prediction would bypass the support bookkeeping).
+  /// path.
   void enable_partial(double participation, std::uint64_t seed);
 
  private:
-  /// Per-worker scratch: block-solver workspace, the a~ prediction buffer,
-  /// and the compact gather buffers of the screened passes. One instance per
-  /// pool thread, indexed by parallel_for_chunks' chunk index; every buffer
-  /// reaches its steady capacity in reset() (max(M, N)) and is never
-  /// reallocated inside step() — screened passes resize within capacity.
+  /// Per-worker scratch: block-solver workspace and the a~ prediction
+  /// buffer. One instance per pool thread, indexed by parallel_for_chunks'
+  /// chunk index; a_new is sized in reset() and never reallocated inside
+  /// step().
   struct WorkerScratch {
     BlockWorkspace blocks;
-    Vec a_new;  ///< a~ prediction: full column (M) or compact support.
-    // Screened-pass gathers: compact views of a row/column restricted to
-    // its support set.
-    Vec sub_latency, sub_a, sub_varphi, sub_lambda, sub_out;
-    std::vector<std::uint32_t> support_scratch;  ///< Rebuilt column support.
+    Vec a_new;  ///< a~ prediction for one column (M).
   };
 
   void update_residual_scales();
@@ -422,9 +382,6 @@ class InProcessExecutor : public BlockExecutor {
   /// iterate is already feasible.
   void repair_iterate_bounds();
   void run_full_datacenter_pass();
-  void run_screened_lambda_pass();
-  void run_screened_datacenter_pass();
-  void rebuild_row_supports();
 
   UfcProblem original_;  ///< As given (for the final evaluation).
   UfcProblem problem_;   ///< Workload-normalized.
@@ -458,21 +415,11 @@ class InProcessExecutor : public BlockExecutor {
   // on contiguous rows of these instead of striding the row-major primaries,
   // then transposes the corrected state back (cache-blocked both ways).
   Mat lambda_tilde_t_, a_t_, varphi_t_;
-  /// Post-correction a column sums, maintained by both datacenter passes in
+  /// Post-correction a column sums, maintained by the datacenter pass in
   /// increasing-i order (bitwise equal to Mat::col_sum) so balance_residual
   /// stops re-striding a_ every iteration.
   Vec a_col_sum_post_;
   bool post_sums_fresh_ = false;
-
-  // Active-set screening state (options_.screening; see ActiveSetOptions).
-  // Supports hold the combined nonzero pattern of lambda and a, ascending,
-  // rebuilt by every full pass; out-of-support lambda/a entries are exact
-  // zeros and their varphi duals are frozen between full passes.
-  bool screen_ready_ = false;     ///< Supports valid (a full pass ran).
-  bool screen_verified_ = false;  ///< Last step was a full, non-growing pass.
-  int steps_since_full_ = 0;
-  std::vector<std::vector<std::uint32_t>> row_support_, col_support_;
-  std::vector<unsigned char> chunk_grew_;  ///< Per-chunk support growth.
 
   // Phase profiling (set_phase_profiling). The fused datacenter pass splits
   // its time per column into prediction vs correction, accumulated per chunk

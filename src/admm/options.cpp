@@ -38,10 +38,6 @@ AdmgOptions options_from_config(const Config& config, AdmgOptions defaults) {
   options.gaussian_back_substitution = config.get_bool(
       key("gaussian_back_substitution"), options.gaussian_back_substitution);
   options.threads = config.get_int(key("threads"), options.threads);
-  options.screening.enabled =
-      config.get_bool(key("screening"), options.screening.enabled);
-  options.screening.full_pass_every = config.get_int(
-      key("screening_full_pass_every"), options.screening.full_pass_every);
   options.acceleration = parse_acceleration(config.get_string(
       key("acceleration"), to_string(options.acceleration)));
 
@@ -65,7 +61,6 @@ AdmgOptions options_from_config(const Config& config, AdmgOptions defaults) {
   UFC_EXPECTS(options.tolerance > 0.0);
   UFC_EXPECTS(options.max_iterations > 0);
   UFC_EXPECTS(options.threads >= 0);
-  UFC_EXPECTS(options.screening.full_pass_every >= 1);
   return options;
 }
 

@@ -13,10 +13,9 @@ namespace ufc::admm {
 /// Builds AdmgOptions from the INI [solver] section, starting from
 /// `defaults` (missing keys keep the given defaults). Recognized keys:
 /// solver.rho, solver.epsilon, solver.tolerance, solver.max_iterations,
-/// solver.gaussian_back_substitution, solver.threads, solver.screening,
-/// solver.screening_full_pass_every and solver.acceleration (none |
-/// anderson). Out-of-range values and any other solver.* key throw
-/// ufc::ContractViolation naming the offender.
+/// solver.gaussian_back_substitution, solver.threads and
+/// solver.acceleration (none | anderson). Out-of-range values and any other
+/// solver.* key throw ufc::ContractViolation naming the offender.
 AdmgOptions options_from_config(const Config& config,
                                 AdmgOptions defaults = {});
 

@@ -1,8 +1,8 @@
 // The receding-horizon controller: one tenant's streaming re-solve loop.
 //
 // Each control tick the controller (1) applies the tick's sparse problem
-// update to its live solver — invalidating screening/certification caches
-// and repairing the warm iterate through AdmgSolver::apply_update — and
+// update to its live solver — invalidating the certification caches and
+// repairing the warm iterate through AdmgSolver::apply_update — and
 // (2) re-solves under a bounded iteration budget via solve_budgeted. A tick
 // that exhausts its budget returns the best-so-far iterate with status
 // BudgetExhausted and the next tick resumes exactly where it stopped, so a

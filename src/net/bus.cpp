@@ -8,15 +8,6 @@ namespace ufc::net {
 
 namespace {
 
-BusConfig legacy_config(double loss_rate, std::uint64_t seed) {
-  BusConfig config;
-  config.seed = seed;
-  RandomFaults faults;
-  faults.loss_rate = loss_rate;
-  config.faults.random_faults(faults);
-  return config;
-}
-
 // Backoff before the k-th retry: 2^(k-1) rounds, capped so pathological
 // attempt caps cannot overflow the accounting.
 std::uint64_t backoff_rounds_before_retry(int failed_attempts) {
@@ -24,9 +15,6 @@ std::uint64_t backoff_rounds_before_retry(int failed_attempts) {
 }
 
 }  // namespace
-
-MessageBus::MessageBus(double loss_rate, std::uint64_t seed)
-    : MessageBus(legacy_config(loss_rate, seed)) {}
 
 MessageBus::MessageBus(BusConfig config)
     : config_(std::move(config)), rng_(config_.seed) {

@@ -45,13 +45,9 @@ struct BusConfig {
 
 class MessageBus final : public Transport {
  public:
-  /// Legacy transport: loss_rate in [0, 1) is the probability that any
-  /// single transmission attempt is dropped (then retried; `seed` makes
-  /// drops reproducible).
-  explicit MessageBus(double loss_rate = 0.0, std::uint64_t seed = 1);
-
-  /// Fault-injecting transport configured by `config.faults`.
-  explicit MessageBus(BusConfig config);
+  /// Transport configured by `config`; the default is the zero-fault legacy
+  /// reliable transport.
+  explicit MessageBus(BusConfig config = {});
 
   /// Advances the bus clock to `round`: releases every delayed message whose
   /// release round has arrived (deterministic order: release round, then

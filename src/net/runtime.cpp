@@ -16,24 +16,6 @@ namespace {
 constexpr std::uint32_t kRuntimeCheckpointMagic = 0x55464352;  // "UFCR"
 constexpr std::uint32_t kRuntimeCheckpointVersion = 1;
 
-BusConfig make_bus_config(const DistributedOptions& options) {
-  BusConfig config;
-  config.seed = options.loss_seed;
-  config.max_attempts = options.max_attempts;
-  config.faults = options.faults;
-  // ufc-lint: allow(float-equal) — exact-zero guard: "knob untouched".
-  if (options.loss_rate != 0.0) {
-    // The legacy loss knob and a plan-level loss rate are alternatives, not
-    // additive; routing the knob through the plan keeps one validation path.
-    // ufc-lint: allow(float-equal) — exact-zero guard: "plan untouched".
-    UFC_EXPECTS(config.faults.random().loss_rate == 0.0);
-    RandomFaults random = config.faults.random();
-    random.loss_rate = options.loss_rate;
-    config.faults.random_faults(random);
-  }
-  return config;
-}
-
 void remove_datacenter_from_problem(UfcProblem& problem, std::size_t pos) {
   const std::size_t m = problem.num_front_ends();
   const std::size_t n = problem.num_datacenters();
@@ -62,7 +44,9 @@ DistributedAdmgRuntime::DistributedAdmgRuntime(const UfcProblem& problem,
                                                DistributedOptions options)
     : original_(problem),
       options_(std::move(options)),
-      bus_(make_bus_config(options_)) {
+      bus_(BusConfig{.seed = options_.loss_seed,
+                     .max_attempts = options_.max_attempts,
+                     .faults = options_.faults}) {
   original_.validate();
   const auto& admg = options_.admg;
   UFC_EXPECTS(admg.rho > 0.0);
@@ -72,7 +56,6 @@ DistributedAdmgRuntime::DistributedAdmgRuntime(const UfcProblem& problem,
   // that. Every other fault environment needs the degraded protocol.
   UFC_EXPECTS(options_.degraded || (options_.faults.delivery_preserving() &&
                                     options_.max_attempts == 0));
-  UFC_EXPECTS(options_.max_stale_rounds >= 0);
   transport_ = options_.remote.socket != nullptr
                    ? static_cast<Transport*>(options_.remote.socket)
                    : &bus_;
@@ -86,11 +69,9 @@ DistributedAdmgRuntime::DistributedAdmgRuntime(const UfcProblem& problem,
       UFC_EXPECTS(original < problem.num_datacenters());
   }
   // Eventual delivery (loss with retries, bounded delay) keeps input ages
-  // bounded; the auto gate admits exactly that envelope.
+  // bounded; the gate admits exactly that envelope.
   const auto& rf = options_.faults.random();
-  stale_bound_ = options_.max_stale_rounds > 0
-                     ? options_.max_stale_rounds
-                     : 1 + (rf.delay_rate > 0.0 ? rf.max_delay_rounds : 0);
+  stale_bound_ = 1 + (rf.delay_rate > 0.0 ? rf.max_delay_rounds : 0);
 
   // Same workload normalization as AdmgSolver so iterates are bit-identical.
   sigma_ = admg.workload_scale > 0.0 ? admg.workload_scale

@@ -56,9 +56,10 @@ struct DistributedOptions {
   admm::AdmgOptions admg;     ///< Same knobs as the monolithic solver; the
                               ///< watchdog / fallback fields govern the
                               ///< runtime's watchdog too.
-  double loss_rate = 0.0;     ///< Per-attempt message-loss probability.
+  /// Seeds every random fault draw on the bus (BusConfig::seed).
   std::uint64_t loss_seed = 1;
-  /// Scripted + seeded-random fault environment for the bus.
+  /// Scripted + seeded-random fault environment for the bus; message loss
+  /// is faults.random().loss_rate.
   FaultPlan faults;
   /// Per-message transmission cap (see BusConfig). Must stay 0 in strict
   /// mode; must be >= 1 when the plan is not delivery-preserving.
@@ -68,14 +69,6 @@ struct DistributedOptions {
   /// Silent rounds after which the coordinator declares a datacenter dead
   /// (degraded mode only).
   int dead_after_rounds = 5;
-  /// Degraded-mode convergence gate: a round may declare convergence only
-  /// when every agent input is at most this many rounds old — the bounded
-  /// input-age criterion, the message-level analog of admm/async.hpp's
-  /// stale-bounded participation model (docs/ROBUSTNESS.md). Silence from a
-  /// crashed or partitioned peer grows the age without bound and keeps
-  /// blocking convergence until the health tracker or the watchdog acts.
-  /// 0 = auto: 1 + max_delay_rounds when random delay is active, else 1.
-  int max_stale_rounds = 0;
   /// Multi-process hosting (see RemoteHosting). Default: everything local.
   RemoteHosting remote;
 };
@@ -214,7 +207,15 @@ class DistributedAdmgRuntime {
   std::set<NodeId> eof_nodes_;
   /// Newest StateSync round received per remote datacenter.
   std::map<NodeId, int> remote_synced_;
-  int stale_bound_ = 1;  ///< Resolved max_stale_rounds (see DistributedOptions).
+  /// Degraded-mode convergence gate: a round may declare convergence only
+  /// when every agent input is at most this many rounds old — the bounded
+  /// input-age criterion, the message-level analog of admm/async.hpp's
+  /// stale-bounded participation model (docs/ROBUSTNESS.md). It is
+  /// 1 + max_delay_rounds when random delay is active, else 1: the envelope
+  /// eventual delivery keeps every age inside. Silence from a crashed or
+  /// partitioned peer grows the age without bound and keeps blocking
+  /// convergence until the health tracker or the watchdog acts.
+  int stale_bound_ = 1;
   int next_round_ = 0;
   double balance_scale_ = 1.0;
   double copy_scale_ = 1.0;

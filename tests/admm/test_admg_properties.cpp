@@ -3,17 +3,23 @@
 // and the solver must be invariant to the things it claims invariance to.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <tuple>
 
 #include "admm/admg.hpp"
 #include "admm/centralized.hpp"
 #include "helpers.hpp"
+#include "lambda_kkt.hpp"
 #include "util/contract.hpp"
 
 namespace ufc::admm {
 namespace {
 
+using ::ufc::testing::expect_lambda_rows_kkt_optimal;
+using ::ufc::testing::make_random_problem;
 using ::ufc::testing::make_tiny_problem;
 
 AdmgOptions tight() {
@@ -242,6 +248,26 @@ TEST(AdmgStepApi, ManualSteppingMatchesSolve) {
   Mat lambda_servers = manual.lambda();
   lambda_servers *= manual.workload_scale();
   EXPECT_LT(max_abs_diff(lambda_servers, report.solution.lambda), 1e-9);
+}
+
+// The default engine's lambda predictions, checked over full rows against
+// the sort oracle: after up to 500 iterations, the next step's rows must be
+// KKT points of their eq. (17) sub-problems.
+TEST(AdmgProperties, LambdaPredictionsAreKktOptimalAtThreeSizes) {
+  struct Case {
+    std::size_t m, n;
+    std::uint64_t seed;  // 0 = the hand-built tiny problem
+  };
+  constexpr std::array<Case, 3> cases = {{{2, 2, 0}, {12, 4, 5}, {32, 8, 6}}};
+  for (const auto& c : cases) {
+    const UfcProblem problem =
+        c.seed == 0 ? make_tiny_problem() : make_random_problem(c.seed, c.m, c.n);
+    AdmgOptions options;
+    options.max_iterations = 500;
+    AdmgSolver solver(problem, options);
+    (void)solver.solve();
+    expect_lambda_rows_kkt_optimal(solver);
+  }
 }
 
 }  // namespace

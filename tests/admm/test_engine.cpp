@@ -371,7 +371,8 @@ TEST(EngineOptions, OptionsFromConfigRejectsInvalidValues) {
   for (const char* key :
        {"max_iteration", "tolerence", "projection", "penalty",
         "penalty_balance_ratio", "penalty_increase", "penalty_decrease",
-        "penalty_period", "anderson_memory", "anderson_safeguard"}) {
+        "penalty_period", "anderson_memory", "anderson_safeguard",
+        "screening", "screening_full_pass_every"}) {
     const Config config =
         Config::parse(std::string("[solver]\n") + key + " = 1\n");
     try {

@@ -3,9 +3,8 @@
 //
 // Three behaviors are pinned here because each hid a real bug:
 //  1. apply_update validates the whole batch before committing anything and
-//     invalidates every cache describing the pre-update problem — a stale
-//     screening support after a price mutation silently converges to the
-//     wrong optimum.
+//     invalidates every cache describing the pre-update problem, so a warm
+//     re-solve after a price mutation reaches the new problem's optimum.
 //  2. A fuel-cell capacity shrinking below the warm mu_j routes the iterate
 //     through the clamp_iterate feasibility projection (whose mu/nu bounds
 //     were once swapped — see ClampProjectsMuToCapacityAndNuToZero).
@@ -220,20 +219,18 @@ TEST(ProblemUpdateTest, UpdateRepairIsExactlyTheFeasibilityProjection) {
   }
 }
 
-// Satellite 1 regression: with active-set screening enabled, a mid-stream
-// price mutation must invalidate the screened support and the certification
-// gate. Before the fix the solver kept iterating on the stale support and
-// certified convergence against the old problem's optimum.
-TEST(ProblemUpdateTest, ScreenedWarmSolveMatchesColdUnscreenedAfterMutation) {
+// A mid-stream price mutation must invalidate the certification gate: the
+// warm re-solve has to reach the mutated problem's optimum, not certify
+// around the old one.
+TEST(ProblemUpdateTest, WarmSolveMatchesColdSolveAfterPriceInversion) {
   const UfcProblem problem = make_random_problem(17, 6, 4);
 
-  AdmgOptions screened;
-  screened.screening.enabled = true;
-  screened.record_trace = false;
-  AdmgSolver solver(problem, screened);
+  AdmgOptions options;
+  options.record_trace = false;
+  AdmgSolver solver(problem, options);
   ASSERT_TRUE(solver.solve().converged);
 
-  // Invert the price order: the screened-out coordinates of the old optimum
+  // Invert the price order: the coordinates the old optimum leaves at zero
   // are exactly the ones the new optimum routes to.
   ProblemUpdate repricing;
   for (std::size_t j = 0; j < problem.num_datacenters(); ++j) {
@@ -250,9 +247,7 @@ TEST(ProblemUpdateTest, ScreenedWarmSolveMatchesColdUnscreenedAfterMutation) {
     mutated.datacenters[j].grid_price = price;
   for (const auto& [j, rate] : repricing.carbon_rates)
     mutated.datacenters[j].carbon_rate = rate;
-  AdmgOptions unscreened;
-  unscreened.record_trace = false;
-  const AdmgReport cold = solve_admg(mutated, unscreened);
+  const AdmgReport cold = solve_admg(mutated, options);
   ASSERT_TRUE(cold.converged);
 
   EXPECT_NEAR(warm.breakdown.ufc, cold.breakdown.ufc,

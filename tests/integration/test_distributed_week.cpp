@@ -62,7 +62,8 @@ TEST(DistributedWeekLossy, HeavyLossStillMatchesExactly) {
   clean.admg = options;
   DistributedOptions lossy;
   lossy.admg = options;
-  lossy.loss_rate = 0.6;  // every message dropped ~1.5x on average
+  // Every message dropped ~1.5x on average.
+  lossy.faults.random_faults({.loss_rate = 0.6});
   lossy.loss_seed = 3;
 
   const auto a = DistributedAdmgRuntime(problem, clean).run();

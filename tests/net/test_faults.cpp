@@ -87,6 +87,7 @@ TEST(FaultPlan, ValidatesSpecs) {
                ContractViolation);
   EXPECT_THROW(plan.crash(kCoordinatorId, {0, 5}), ContractViolation);
   EXPECT_THROW(plan.random_faults({.loss_rate = 1.0}), ContractViolation);
+  EXPECT_THROW(plan.random_faults({.loss_rate = -0.1}), ContractViolation);
   EXPECT_THROW(plan.random_faults({.corruption_rate = -0.1}),
                ContractViolation);
   EXPECT_THROW(plan.random_faults({.delay_rate = 0.5, .max_delay_rounds = 0}),

@@ -72,7 +72,7 @@ TEST(DistributedRuntime, MessageLossChangesNothingButRetransmissions) {
   clean.admg = options;
   DistributedOptions lossy;
   lossy.admg = options;
-  lossy.loss_rate = 0.3;
+  lossy.faults.random_faults({.loss_rate = 0.3});
   lossy.loss_seed = 11;
 
   const auto clean_report = DistributedAdmgRuntime(problem, clean).run();
