@@ -1,11 +1,12 @@
 // Warm-start value in the receding-horizon controller (docs/CONTROLLER.md).
 //
-// Replays one week of the paper scenario as a tick stream into two
-// controllers that differ in exactly one bit: the warm controller keeps its
-// iterate across ticks, the cold baseline resets to the paper's cold start
-// before every tick. Both get the same per-tick iteration budget, so the
-// comparison isolates what the warm iterate buys: iterations-to-converge
-// per tick and how often the budget runs out at all.
+// Replays one week of the paper scenario as a tick stream into two solvers
+// that run the same tick — apply_update, then solve_budgeted — and differ in
+// exactly one call: the cold baseline reset()s to the paper's cold start
+// before every re-solve, the warm one keeps its iterate. Both get the same
+// per-tick iteration budget, so the comparison isolates what the warm
+// iterate buys: iterations-to-converge per tick and how often the budget
+// runs out at all.
 //
 // Headline totals land in BENCH_ufc.json under `controller` (validated by
 // scripts/check_bench_json.py). Override the tick count with
@@ -20,11 +21,32 @@
 #include <string>
 #include <vector>
 
+#include "admm/admg.hpp"
 #include "admm/solve_core.hpp"
-#include "ctrl/controller.hpp"
 #include "ctrl/stream.hpp"
 
 namespace {
+
+/// Iteration budget per tick (the deadline, in solver steps).
+constexpr int kBudgetPerTick = 400;
+
+/// One solver's lifetime totals over the replay.
+struct Totals {
+  int ticks = 0;
+  int converged = 0;
+  int budget_exhausted = 0;
+  std::int64_t iterations = 0;
+
+  void add(const ufc::admm::AdmgReport& report) {
+    ++ticks;
+    iterations += report.iterations;
+    if (report.status == ufc::admm::SolveStatus::Converged) {
+      ++converged;
+    } else {
+      ++budget_exhausted;
+    }
+  }
+};
 
 /// Tick count: the full week unless UFC_BENCH_TICKS overrides (malformed
 /// values abort rather than silently benchmarking the wrong length).
@@ -62,73 +84,72 @@ int main() {
   const int ticks = bench_ticks(static_cast<int>(updates.size()));
   updates.resize(static_cast<std::size_t>(ticks));
 
-  ctrl::ControllerOptions options;
-  options.admg = bench::paper_options().admg;
-  options.max_iters_per_tick = 400;
-  ctrl::Controller warm(source.base_problem(), options);
-  options.cold_restart = true;
-  ctrl::Controller cold(source.base_problem(), options);
+  const admm::AdmgOptions admg = bench::paper_options().admg;
+  admm::AdmgSolver warm(source.base_problem(), admg);
+  admm::AdmgSolver cold(source.base_problem(), admg);
+  Totals warm_totals;
+  Totals cold_totals;
 
   CsvWriter csv("ufc_controller.csv",
                 {"tick", "warm_iterations", "warm_status", "cold_iterations",
                  "cold_status"});
   for (int t = 0; t < ticks; ++t) {
-    const ctrl::TickReport warm_tick =
-        warm.tick(updates[static_cast<std::size_t>(t)]);
-    const ctrl::TickReport cold_tick =
-        cold.tick(updates[static_cast<std::size_t>(t)]);
-    csv.row_strings({std::to_string(t),
-                     std::to_string(warm_tick.report.iterations),
-                     admm::to_string(warm_tick.report.status),
-                     std::to_string(cold_tick.report.iterations),
-                     admm::to_string(cold_tick.report.status)});
+    const admm::ProblemUpdate& update = updates[static_cast<std::size_t>(t)];
+    if (!update.empty()) {
+      warm.apply_update(update);
+      cold.apply_update(update);
+    }
+    const admm::AdmgReport warm_report = warm.solve_budgeted(kBudgetPerTick);
+    cold.reset();
+    const admm::AdmgReport cold_report = cold.solve_budgeted(kBudgetPerTick);
+    warm_totals.add(warm_report);
+    cold_totals.add(cold_report);
+    csv.row_strings({std::to_string(t), std::to_string(warm_report.iterations),
+                     admm::to_string(warm_report.status),
+                     std::to_string(cold_report.iterations),
+                     admm::to_string(cold_report.status)});
   }
 
   // A warm iterate that went non-finite anywhere in the week would poison
   // every later tick; fail loudly rather than reporting garbage totals.
-  if (!warm.solver().iterate_finite() || !cold.solver().iterate_finite()) {
+  if (!warm.iterate_finite() || !cold.iterate_finite()) {
     std::cerr << "controller ended with a non-finite iterate\n";
     return 1;
   }
 
   const double savings_ratio =
-      cold.total_iterations() > 0
-          ? 1.0 - static_cast<double>(warm.total_iterations()) /
-                      static_cast<double>(cold.total_iterations())
+      cold_totals.iterations > 0
+          ? 1.0 - static_cast<double>(warm_totals.iterations) /
+                      static_cast<double>(cold_totals.iterations)
           : 0.0;
 
   TablePrinter table({"controller", "ticks", "iterations", "converged",
                       "budget exhausted", "iters/tick"});
-  const auto add = [&](const char* name, const ctrl::Controller& c) {
-    table.add_row({std::string(name), std::to_string(c.ticks()),
-                   std::to_string(c.total_iterations()),
-                   std::to_string(c.converged_ticks()),
-                   std::to_string(c.budget_exhausted_ticks()),
-                   fixed(static_cast<double>(c.total_iterations()) /
-                             std::max(1, c.ticks()),
+  const auto add = [&](const char* name, const Totals& totals) {
+    table.add_row({std::string(name), std::to_string(totals.ticks),
+                   std::to_string(totals.iterations),
+                   std::to_string(totals.converged),
+                   std::to_string(totals.budget_exhausted),
+                   fixed(static_cast<double>(totals.iterations) /
+                             std::max(1, totals.ticks),
                          1)});
   };
-  add("warm (keep iterate)", warm);
-  add("cold restart", cold);
+  add("warm (keep iterate)", warm_totals);
+  add("cold restart", cold_totals);
   table.print();
   std::cout << "\nWarm starts cut total iterations by "
             << fixed(100.0 * savings_ratio, 1) << "% over " << ticks
-            << " ticks at budget " << options.max_iters_per_tick
-            << "/tick.\n";
+            << " ticks at budget " << kBudgetPerTick << "/tick.\n";
 
   obs::JsonValue section = obs::JsonValue::object();
   section.set("ticks", obs::JsonValue(ticks));
-  section.set("budget_per_tick", obs::JsonValue(options.max_iters_per_tick));
-  section.set("warm_iterations",
-              obs::JsonValue(static_cast<std::int64_t>(
-                  warm.total_iterations())));
-  section.set("cold_iterations",
-              obs::JsonValue(static_cast<std::int64_t>(
-                  cold.total_iterations())));
+  section.set("budget_per_tick", obs::JsonValue(kBudgetPerTick));
+  section.set("warm_iterations", obs::JsonValue(warm_totals.iterations));
+  section.set("cold_iterations", obs::JsonValue(cold_totals.iterations));
   section.set("warm_budget_exhausted",
-              obs::JsonValue(warm.budget_exhausted_ticks()));
+              obs::JsonValue(warm_totals.budget_exhausted));
   section.set("cold_budget_exhausted",
-              obs::JsonValue(cold.budget_exhausted_ticks()));
+              obs::JsonValue(cold_totals.budget_exhausted));
   section.set("savings_ratio", obs::JsonValue(savings_ratio));
   obs::JsonValue metrics = obs::JsonValue::object();
   metrics.set("controller", std::move(section));

@@ -445,7 +445,7 @@ def check_bench_csv_name(tree: Tree):
 # The controller may not read any clock, not even the sanctioned monotonic
 # seam: tick deadlines are iteration budgets, which keeps N-tick runs
 # bit-reproducible and the budget-resume identity testable exactly.
-CTRL_CLOCK_HEADERS = ("util/clock.hpp", "obs/timer.hpp")
+CTRL_CLOCK_HEADERS = ("util/clock.hpp",)
 CTRL_CLOCK_IDENT_RE = re.compile(
     r"\b(?:monotonic_now|MonotonicTimer|ScopedTimer|MonotonicTick)\b")
 
@@ -1439,13 +1439,13 @@ FIXTURES = [
                               '#include "net/bus.hpp"\nint f();\n',
       "src/net/bus.hpp": "#pragma once\n"}, CLEAN),
     ("ctrl_may_include_sim_and_admm", LAYERING,
-     {"src/ctrl/controller.hpp": '#include "admm/admg.hpp"\n'
-                                 '#include "sim/session.hpp"\n',
+     {"src/ctrl/scheduler.hpp": '#include "admm/admg.hpp"\n'
+                                '#include "sim/session.hpp"\n',
       "src/admm/admg.hpp": "#pragma once\n",
       "src/sim/session.hpp": "#pragma once\n"}, CLEAN),
     ("sim_must_not_include_ctrl", LAYERING,
-     {"src/sim/session.cpp": '#include "ctrl/controller.hpp"\n',
-      "src/ctrl/controller.hpp": "#pragma once\n"}, ["back-edge"]),
+     {"src/sim/session.cpp": '#include "ctrl/scheduler.hpp"\n',
+      "src/ctrl/scheduler.hpp": "#pragma once\n"}, ["back-edge"]),
     ("undeclared_directory_fails", LAYERING,
      {"src/magic/widget.hpp": "#pragma once\n",
       "src/admm/solver.cpp": '#include "magic/widget.hpp"\n'},
@@ -1468,20 +1468,21 @@ FIXTURES = [
     ("wall_clock_in_solver_fails", "wall-clock",
      {"src/admm/engine.cpp": CHRONO}, FLAGGED),
     ("wall_clock_in_obs_and_seam_passes", "wall-clock",
-     {"src/obs/timer.hpp": CHRONO, "src/util/clock.hpp": CHRONO}, CLEAN),
+     {"src/obs/metrics_observer.cpp": CHRONO, "src/util/clock.hpp": CHRONO},
+     CLEAN),
     ("wall_clock_suppression", "wall-clock",
      {"src/admm/engine.cpp": CHRONO.rstrip() +
       "  // ufc-lint: allow(wall-clock)\n"}, CLEAN),
     ("ctrl_chrono_caught_by_generic_wall_clock", "wall-clock",
-     {"src/ctrl/controller.cpp": CHRONO}, FLAGGED),
+     {"src/ctrl/scheduler.cpp": CHRONO}, FLAGGED),
     ("ctrl_clock_seam_include_fails", "no-wall-clock-in-ctrl-tick",
-     {"src/ctrl/controller.cpp": '#include "util/clock.hpp"\n',
+     {"src/ctrl/scheduler.cpp": '#include "util/clock.hpp"\n',
       "src/util/clock.hpp": "#pragma once\n"}, FLAGGED),
     ("ctrl_timer_identifier_fails", "no-wall-clock-in-ctrl-tick",
      {"src/ctrl/scheduler.cpp": "const double t0 = util::monotonic_now();\n"},
      FLAGGED),
     ("ctrl_timer_name_in_comment_passes", "no-wall-clock-in-ctrl-tick",
-     {"src/ctrl/controller.hpp":
+     {"src/ctrl/scheduler.hpp":
       "#pragma once\n// never call monotonic_now() here\n"}, CLEAN),
     ("clock_seam_outside_ctrl_passes", "no-wall-clock-in-ctrl-tick",
      {"src/sim/sweep.cpp": '#include "util/clock.hpp"\n'

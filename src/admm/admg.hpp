@@ -44,9 +44,9 @@ class AdmgSolver {
   AdmgReport solve();
 
   /// Runs ADM-G from the *current* state (primal and dual) instead of the
-  /// cold start. With `set_problem`, this warm-starts consecutive slots:
-  /// adjacent hours have similar prices/arrivals, so the previous optimum
-  /// and duals are an excellent initial point (see the warm-start bench).
+  /// cold start: after `apply_update`, or after `restore()`. Adjacent hours
+  /// have similar prices/arrivals, so the previous optimum and duals are an
+  /// excellent initial point (see the warm-start benches).
   AdmgReport solve_warm();
 
   /// solve_warm under a per-call iteration budget (the receding-horizon
@@ -60,19 +60,16 @@ class AdmgSolver {
   AdmgReport solve_budgeted(int max_iterations);
 
   /// Back to the paper's cold start (all variables zero); the next
-  /// solve_warm behaves like solve(). The receding-horizon cold-restart
-  /// baseline re-solves every tick from here.
+  /// solve_warm behaves like solve(). The receding-horizon cold baseline
+  /// (bench_controller) re-solves every tick from here.
   void reset() { exec_.reset(); }
 
-  /// Swaps in a new slot's problem while keeping the iterate as the warm
-  /// start. Dimensions (M, N) must match; the workload normalization is
-  /// kept from construction so iterates remain directly comparable.
-  void set_problem(const UfcProblem& problem) { exec_.set_problem(problem); }
-
   /// Applies a sparse tick update to the live problem (engine.hpp
-  /// ProblemUpdate): validates the batch, mutates the problem in place,
-  /// invalidates the certification caches and projects the warm
-  /// iterate back into the primal box if a capacity shrank under it.
+  /// ProblemUpdate) — the one way to change the problem under a warm
+  /// iterate: validates the batch, mutates the problem in place, keeps the
+  /// construction-time workload normalization, invalidates the
+  /// certification caches and projects the warm iterate back into the
+  /// primal box if a capacity shrank under it.
   void apply_update(const ProblemUpdate& update) {
     exec_.apply_update(update);
   }

@@ -37,24 +37,20 @@ double natural_workload_scale(const UfcProblem& problem) {
   return std::max(1.0, mean_arrival);
 }
 
-void scale_workload_units_in_place(UfcProblem& problem, double sigma) {
+UfcProblem scale_workload_units(const UfcProblem& problem, double sigma) {
   UFC_EXPECTS(sigma > 0.0);
-  problem.power.idle_watts *= sigma;
-  problem.power.peak_watts *= sigma;
-  problem.latency_weight *= sigma;
-  for (auto& dc : problem.datacenters) {
+  UfcProblem scaled = problem;
+  scaled.power.idle_watts *= sigma;
+  scaled.power.peak_watts *= sigma;
+  scaled.latency_weight *= sigma;
+  for (auto& dc : scaled.datacenters) {
     dc.servers /= sigma;
     if (dc.power_override) {
       dc.power_override->idle_watts *= sigma;
       dc.power_override->peak_watts *= sigma;
     }
   }
-  for (auto& a : problem.arrivals) a /= sigma;
-}
-
-UfcProblem scale_workload_units(const UfcProblem& problem, double sigma) {
-  UfcProblem scaled = problem;
-  scale_workload_units_in_place(scaled, sigma);
+  for (auto& a : scaled.arrivals) a /= sigma;
   return scaled;
 }
 
@@ -530,26 +526,6 @@ void InProcessExecutor::run_full_datacenter_pass() {
 
   varphi_t_.transpose_into(varphi_);
   a_t_.transpose_into(a_);
-}
-
-void InProcessExecutor::set_problem(const UfcProblem& problem) {
-  problem.validate();
-  UFC_EXPECTS(problem.num_front_ends() == m_);
-  UFC_EXPECTS(problem.num_datacenters() == n_);
-  original_ = problem;
-  // Rescale into the existing problem_ storage; the previous implementation
-  // built a third full copy through scale_workload_units' return value.
-  problem_ = problem;
-  scale_workload_units_in_place(problem_, sigma_);
-  // Residual scales track the new slot's magnitudes.
-  update_residual_scales();
-  stepped_ = false;  // convergence must be re-established on the new slot
-  // The warm-started iterate carries over, so the cached post-correction
-  // column sums stay valid.
-  // The new slot may have shrunk a fuel-cell cap below the warm mu_j (an
-  // outage at a slot boundary): project rather than iterate from an
-  // infeasible point the block solvers' contracts do not cover.
-  repair_iterate_bounds();
 }
 
 void InProcessExecutor::apply_update(const ProblemUpdate& update) {

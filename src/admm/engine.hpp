@@ -140,11 +140,6 @@ double natural_workload_scale(const UfcProblem& problem);
 /// objective value of corresponding points is identical.
 UfcProblem scale_workload_units(const UfcProblem& problem, double sigma);
 
-/// In-place variant of scale_workload_units: rescales `problem` directly
-/// without copying it (the per-slot warm-start path swaps problems every
-/// simulated hour, where the copy was measurable).
-void scale_workload_units_in_place(UfcProblem& problem, double sigma);
-
 /// A sparse batch of problem-data changes applied between warm-started
 /// solves — the receding-horizon tick vocabulary (src/ctrl). Indices address
 /// the construction-time dimensions; values are caller units (servers, $/MWh,
@@ -311,13 +306,10 @@ class InProcessExecutor : public BlockExecutor {
 
   /// Back to the paper's cold start (all variables zero).
   void reset();
-  /// Swaps in a new slot's problem while keeping the iterate as the warm
-  /// start. Dimensions (M, N) must match; the workload normalization is
-  /// kept from construction so iterates remain directly comparable.
-  void set_problem(const UfcProblem& problem);
-  /// Applies a sparse tick update to the live problem in place (the
-  /// streaming analogue of set_problem: no full-problem copy, no
-  /// re-validation of untouched rows). The warm iterate carries over; every
+  /// Applies a sparse tick update to the live problem in place (no
+  /// full-problem copy, no re-validation of untouched rows; the workload
+  /// normalization sigma is kept from construction, so iterates remain
+  /// directly comparable). The warm iterate carries over; every
   /// cache that described the pre-update problem — the convergence-
   /// certification gate, the maintained column sums, residual scales — is
   /// invalidated, and an iterate left outside the new primal box (a
@@ -376,10 +368,9 @@ class InProcessExecutor : public BlockExecutor {
   };
 
   void update_residual_scales();
-  /// Projects the warm iterate through clamp_iterate when a problem change
-  /// left it outside the primal box (set_problem / apply_update with a
-  /// shrunken fuel-cell cap). No-op — and no cache invalidation — while the
-  /// iterate is already feasible.
+  /// Projects the warm iterate through clamp_iterate when apply_update left
+  /// it outside the primal box (a shrunken fuel-cell cap). No-op — and no
+  /// cache invalidation — while the iterate is already feasible.
   void repair_iterate_bounds();
   void run_full_datacenter_pass();
 

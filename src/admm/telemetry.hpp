@@ -7,15 +7,6 @@
 // driver grows its own ad-hoc trace plumbing again.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <string>
-
-namespace ufc {
-class CsvWriter;
-}  // namespace ufc
-
 namespace ufc::admm {
 
 struct SolveCore;  // solve_core.hpp
@@ -63,45 +54,7 @@ class IterationObserver {
   virtual void on_iteration(const IterationSample& sample) = 0;
 
   /// Called once per solve after the report core is finalized. Default: no-op.
-  virtual void on_solve_end(const SolveCore& core);
-};
-
-/// Aggregates counters across any number of solves (e.g. a week of slots).
-class SolveCounters : public IterationObserver {
- public:
-  void on_iteration(const IterationSample& sample) override;
-  void on_solve_end(const SolveCore& core) override;
-
-  int solves() const { return solves_; }
-  int converged_solves() const { return converged_; }
-  std::int64_t iterations() const { return iterations_; }
-  double wall_seconds() const { return wall_seconds_; }
-
- private:
-  int solves_ = 0;
-  int converged_ = 0;
-  std::int64_t iterations_ = 0;
-  double wall_seconds_ = 0.0;
-};
-
-/// Streams every sample into a CSV file with columns
-/// {solve, iteration, balance_residual, copy_residual, change, objective,
-/// wall_seconds}. `solve` increments at each on_solve_end so multi-slot runs
-/// stay separable.
-class CsvTraceObserver : public IterationObserver {
- public:
-  explicit CsvTraceObserver(const std::string& path);
-  ~CsvTraceObserver() override;
-
-  void on_iteration(const IterationSample& sample) override;
-  void on_solve_end(const SolveCore& core) override;
-
-  std::size_t rows_written() const;
-  const std::string& path() const;
-
- private:
-  std::unique_ptr<CsvWriter> csv_;
-  int solve_ = 0;
+  virtual void on_solve_end(const SolveCore& /*core*/) {}
 };
 
 }  // namespace ufc::admm

@@ -64,7 +64,6 @@ obs::JsonValue simulator_options_json(const SimulatorOptions& options) {
   obs::JsonValue out = obs::JsonValue::object();
   out.set("solver", admg_options_json(options.admg));
   out.set("stride", obs::JsonValue(options.stride));
-  out.set("warm_start", obs::JsonValue(options.warm_start));
   out.set("outages",
           obs::JsonValue(static_cast<std::int64_t>(options.outages.size())));
   return out;

@@ -16,23 +16,15 @@ void apply_outages(UfcProblem& problem,
 
 SolveSession::SolveSession(admm::Strategy strategy,
                            const SimulatorOptions& options)
-    : strategy_(strategy), options_(options), admg_(options.admg) {
+    : strategy_(strategy), options_(options) {
   UFC_EXPECTS(options_.stride >= 1);
-  admg_.pinning = admm::pinning_for(strategy);
 }
 
 admm::AdmgReport SolveSession::solve(const traces::Scenario& scenario,
-                                     int hour) {
+                                     int hour) const {
   UfcProblem problem = scenario.problem_at(hour);
   apply_outages(problem, options_.outages, hour);
-  if (!options_.warm_start)
-    return admm::solve_strategy(problem, strategy_, options_.admg);
-  if (!warm_) {
-    warm_.emplace(problem, admg_);
-    return warm_->solve();
-  }
-  warm_->set_problem(problem);
-  return warm_->solve_warm();
+  return admm::solve_strategy(problem, strategy_, options_.admg);
 }
 
 std::vector<admm::AdmgReport> solve_all_slots(const traces::Scenario& scenario,

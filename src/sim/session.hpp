@@ -1,13 +1,14 @@
 // SolveSession: the one per-slot solve path shared by every simulation
 // driver (weekly comparison, storage accounting, batch scheduling).
 //
-// A session owns the strategy pinning, the scenario-level fault model
-// (fuel-cell outages) and the optional warm-started solver, so drivers ask
-// for "the report for hour t" instead of each re-implementing the
-// cold/warm-start dance around AdmgSolver.
+// A session owns the strategy and the scenario-level fault model (fuel-cell
+// outages), so drivers ask for "the report for hour t" instead of each
+// re-implementing the slot set-up. Every slot is an independent cold solve,
+// as in the paper (its Fig. 11 counts cold-start iterations); re-solving a
+// changing problem from a warm iterate is the ctrl layer's job
+// (AdmgSolver::apply_update under a tick stream).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -26,17 +27,15 @@ class SolveSession {
  public:
   SolveSession(admm::Strategy strategy, const SimulatorOptions& options);
 
-  /// Solves the scenario's slot at `hour` (outages applied), reusing the
-  /// previous slot's iterate when options.warm_start is set.
-  admm::AdmgReport solve(const traces::Scenario& scenario, int hour);
+  /// Solves the scenario's slot at `hour` (outages applied) from the
+  /// paper's cold start.
+  admm::AdmgReport solve(const traces::Scenario& scenario, int hour) const;
 
   admm::Strategy strategy() const { return strategy_; }
 
  private:
   admm::Strategy strategy_;
   SimulatorOptions options_;
-  admm::AdmgOptions admg_;  ///< options_.admg with the strategy pinning set.
-  std::optional<admm::AdmgSolver> warm_;
 };
 
 /// Solves every simulated slot (hours 0, stride, 2*stride, ...) through one

@@ -68,11 +68,6 @@ struct SimulatorOptions {
   /// Simulate every `stride`-th hour (1 = all 168; sweeps use larger
   /// strides to trade resolution for speed).
   int stride = 1;
-  /// Reuse the previous slot's iterate (primal + dual) as the next slot's
-  /// starting point. Adjacent hours are similar, so this typically cuts
-  /// iterations severalfold. Off by default: the paper cold-starts each run
-  /// (its Fig. 11 counts cold-start iterations).
-  bool warm_start = false;
   /// Fuel-cell outage windows applied to the per-slot problems.
   std::vector<FuelCellOutage> outages;
 };

@@ -16,7 +16,6 @@
 #include "admm/centralized.hpp"
 #include "admm/rightsizing.hpp"
 #include "admm/strategy.hpp"
-#include "ctrl/controller.hpp"
 #include "ctrl/scheduler.hpp"
 #include "ctrl/stream.hpp"
 #include "model/battery.hpp"

@@ -4,6 +4,7 @@
 // threads=4 is an exact equality test, not a tolerance test.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 
 #include "admm/admg.hpp"
@@ -96,9 +97,8 @@ TEST(AdmgParallel, PinnedBaselinesBitIdentical) {
   }
 }
 
-TEST(AdmgParallel, WarmStartAcrossSetProblemBitIdentical) {
+TEST(AdmgParallel, WarmStartAcrossUpdateBitIdentical) {
   const auto slot_a = testing::make_random_problem(41, 10, 4);
-  const auto slot_b = testing::make_random_problem(42, 10, 4);
   AdmgOptions serial_opts = with_threads(1);
   serial_opts.max_iterations = 40;
   AdmgOptions threaded_opts = with_threads(4);
@@ -110,8 +110,18 @@ TEST(AdmgParallel, WarmStartAcrossSetProblemBitIdentical) {
   (void)threaded.solve();
   expect_identical_iterates(serial, threaded);
 
-  serial.set_problem(slot_b);
-  threaded.set_problem(slot_b);
+  // The next slot moves every arrival (down, so it stays feasible) and every
+  // grid price.
+  ProblemUpdate slot_b;
+  for (std::size_t i = 0; i < slot_a.num_front_ends(); ++i)
+    slot_b.arrivals.emplace_back(
+        i, slot_a.arrivals[i] * (0.8 + 0.02 * static_cast<double>(i)));
+  for (std::size_t j = 0; j < slot_a.num_datacenters(); ++j)
+    slot_b.grid_prices.emplace_back(
+        j, slot_a.datacenters[j].grid_price *
+               (0.8 + 0.15 * static_cast<double>(j)));
+  serial.apply_update(slot_b);
+  threaded.apply_update(slot_b);
   const AdmgReport rs = serial.solve_warm();
   const AdmgReport rt = threaded.solve_warm();
   EXPECT_EQ(rs.iterations, rt.iterations);

@@ -203,13 +203,17 @@ TEST(AdmgWarmStart, SameOptimumFewerIterationsOnSimilarSlot) {
   perturbed.datacenters[0].grid_price *= 1.05;
   perturbed.arrivals[0] *= 1.02;
   perturbed.arrivals[1] *= 0.98;
+  ProblemUpdate next_slot;
+  next_slot.grid_prices.emplace_back(0, perturbed.datacenters[0].grid_price);
+  next_slot.arrivals.emplace_back(0, perturbed.arrivals[0]);
+  next_slot.arrivals.emplace_back(1, perturbed.arrivals[1]);
 
   const auto options = tight();
   AdmgSolver solver(problem, options);
   const auto first = solver.solve();
   ASSERT_TRUE(first.converged);
 
-  solver.set_problem(perturbed);
+  solver.apply_update(next_slot);
   const auto warm = solver.solve_warm();
   const auto cold = solve_admg(perturbed, options);
 
@@ -219,23 +223,15 @@ TEST(AdmgWarmStart, SameOptimumFewerIterationsOnSimilarSlot) {
   EXPECT_LT(warm.iterations, cold.iterations);
 }
 
-TEST(AdmgWarmStart, SetProblemRejectsDimensionMismatch) {
-  const auto problem = make_tiny_problem();
-  AdmgSolver solver(problem, tight());
-  auto bigger = problem;
-  bigger.arrivals.push_back(10.0);
-  bigger.latency_s = Mat(3, 2, 0.01);
-  EXPECT_THROW(solver.set_problem(bigger), ContractViolation);
-}
-
-TEST(AdmgWarmStart, SetProblemRequiresReconvergence) {
+TEST(AdmgWarmStart, UpdateRequiresReconvergence) {
   const auto problem = make_tiny_problem();
   AdmgSolver solver(problem, tight());
   (void)solver.solve();
   EXPECT_TRUE(solver.is_converged());
-  auto perturbed = problem;
-  perturbed.datacenters[1].grid_price *= 2.0;
-  solver.set_problem(perturbed);
+  ProblemUpdate repricing;
+  repricing.grid_prices.emplace_back(1,
+                                     problem.datacenters[1].grid_price * 2.0);
+  solver.apply_update(repricing);
   EXPECT_FALSE(solver.is_converged());  // must not report stale convergence
 }
 

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdio>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -294,11 +294,14 @@ TEST(EngineTelemetry, PhaseProfilesAreCoherentWhenEnabled) {
   }
 }
 
-TEST(EngineTelemetry, SolveCountersAggregateAcrossSolvesAndDrivers) {
+// One MetricsObserver sees every driver through the same seam, so its
+// counters aggregate across solves of different executors.
+TEST(EngineTelemetry, ObserverAggregatesAcrossSolvesAndDrivers) {
   const auto problem = make_tiny_problem();
-  SolveCounters counters;
+  obs::MetricsRegistry registry;
+  obs::MetricsObserver observer(registry);
   AdmgOptions options;
-  options.observer = &counters;
+  options.observer = &observer;
 
   const AdmgReport first = solve_admg(problem, options);
   AsyncOptions async;
@@ -306,26 +309,20 @@ TEST(EngineTelemetry, SolveCountersAggregateAcrossSolvesAndDrivers) {
   async.participation = 0.7;
   const AsyncReport second = solve_async_admg(problem, async);
 
-  EXPECT_EQ(counters.solves(), 2);
-  EXPECT_EQ(counters.converged_solves(), 2);
-  EXPECT_EQ(counters.iterations(),
-            static_cast<std::int64_t>(first.iterations + second.iterations));
-  EXPECT_GE(counters.wall_seconds(), 0.0);
-}
-
-TEST(EngineTelemetry, CsvTraceObserverWritesOneRowPerIteration) {
-  const auto problem = make_tiny_problem();
-  const std::string path = ::testing::TempDir() + "engine_trace.csv";
-  {
-    CsvTraceObserver observer(path);
-    AdmgOptions options;
-    options.observer = &observer;
-    const AdmgReport report = solve_admg(problem, options);
-    EXPECT_EQ(observer.rows_written(),
-              static_cast<std::size_t>(report.iterations));
-    EXPECT_EQ(observer.path(), path);
-  }
-  std::remove(path.c_str());
+  const auto count = [&](const char* name) {
+    const obs::Counter* counter = registry.find_counter(name);
+    return counter != nullptr ? counter->value() : 0u;
+  };
+  EXPECT_EQ(count("solver.solves"), 2u);
+  EXPECT_EQ(count("solver.converged_solves"), 2u);
+  const auto iterations =
+      static_cast<std::uint64_t>(first.iterations + second.iterations);
+  EXPECT_EQ(count("solver.iterations"), iterations);
+  const obs::Histogram* seconds =
+      registry.find_histogram("solver.iteration_seconds");
+  ASSERT_NE(seconds, nullptr);
+  EXPECT_EQ(seconds->count(), iterations);
+  EXPECT_GE(seconds->sum(), 0.0);
 }
 
 // ---------------------------------------------------------------------------

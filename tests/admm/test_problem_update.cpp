@@ -310,6 +310,33 @@ TEST(AdmgBudget, ResumeBitIdenticalUnderThreads) {
   EXPECT_EQ(one_shot.checkpoint(), chunked.checkpoint());
 }
 
+TEST(AdmgBudget, ResumesAcrossCallsUntilConverged) {
+  AdmgOptions options;
+  options.record_trace = false;
+  AdmgSolver solver(make_tiny_problem(), options);
+
+  int calls_to_converge = 0;
+  int exhausted_calls = 0;
+  SolveStatus last = SolveStatus::BudgetExhausted;
+  for (int call = 0; call < 400 && last != SolveStatus::Converged; ++call) {
+    last = solver.solve_budgeted(5).status;
+    ++calls_to_converge;
+    if (last == SolveStatus::BudgetExhausted) ++exhausted_calls;
+  }
+  ASSERT_EQ(last, SolveStatus::Converged);
+  // The tiny problem needs more than one 5-iteration call, so the early
+  // calls must have reported best-so-far and resumed.
+  EXPECT_GT(calls_to_converge, 1);
+  EXPECT_EQ(exhausted_calls, calls_to_converge - 1);
+  EXPECT_TRUE(solver.is_converged());
+
+  // Once converged on a static problem, the next call certifies again
+  // almost for free — the warm iterate is already at the optimum.
+  const AdmgReport after = solver.solve_budgeted(5);
+  EXPECT_EQ(after.status, SolveStatus::Converged);
+  EXPECT_LE(after.iterations, 2);
+}
+
 TEST(AdmgBudget, ConvergedBudgetedSolveReportsConverged) {
   AdmgOptions options;
   options.record_trace = false;

@@ -4,9 +4,10 @@
 // The load-bearing property is thread-count bit-identity: grants are decided
 // serially, tenant solves touch disjoint state, and accounting replays in
 // grant order, so --threads is purely a wall-clock knob. The composition
-// test closes the loop with the controller layer: one tenant under the
-// scheduler IS a Controller whose budget is the pool, because budgeted
-// solves chain bit-identically (AdmgBudget.ResumeBitIdenticalToOneLongSolve).
+// test closes the loop with the solver layer: one tenant under the
+// scheduler IS a plain apply_update + solve_budgeted loop whose budget is
+// the pool, because budgeted solves chain bit-identically
+// (AdmgBudget.ResumeBitIdenticalToOneLongSolve).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "admm/admg.hpp"
-#include "ctrl/controller.hpp"
 #include "ctrl/scheduler.hpp"
 #include "ctrl/stream.hpp"
 #include "helpers.hpp"
@@ -101,7 +101,7 @@ TEST(MultiTenant, ThreadCountIsBitIdentical) {
             threaded_metrics.to_json().dump());
 }
 
-TEST(MultiTenant, SingleTenantEqualsStandaloneController) {
+TEST(MultiTenant, SingleTenantEqualsBudgetedSolveLoop) {
   constexpr int kTicks = 4;
   constexpr int kPool = 40;
 
@@ -116,15 +116,45 @@ TEST(MultiTenant, SingleTenantEqualsStandaloneController) {
   scheduler.add_tenant("solo", tiny_stream(9, kTicks));
   EXPECT_EQ(scheduler.run(kTicks), kTicks);
 
-  ControllerOptions controller_options;
-  controller_options.max_iters_per_tick = kPool;
-  controller_options.admg = options.admg;
   auto stream = tiny_stream(9, kTicks);
-  Controller controller(stream->base_problem(), controller_options);
-  while (const auto update = stream->next()) controller.tick(*update);
+  admm::AdmgSolver solver(stream->base_problem(), options.admg);
+  while (const auto update = stream->next()) {
+    if (!update->empty()) solver.apply_update(*update);
+    solver.solve_budgeted(kPool);
+  }
 
-  EXPECT_EQ(scheduler.tenant_solver(0).checkpoint(),
-            controller.solver().checkpoint());
+  EXPECT_EQ(scheduler.tenant_solver(0).checkpoint(), solver.checkpoint());
+}
+
+TEST(MultiTenant, BudgetExhaustedTicksAreCounted) {
+  // A tolerance below reach: every tick spends its whole pool (two grants
+  // of 2) without converging, so each lands in the budget-exhausted column.
+  constexpr int kTicks = 3;
+  SchedulerOptions options = small_options(1);
+  options.iteration_pool_per_tick = 4;
+  options.quantum = 2;
+  options.admg.tolerance = 1e-12;
+  options.admg.warn_on_unconverged = false;
+  MultiTenantScheduler scheduler(options);
+  scheduler.add_tenant("alpha", tiny_stream(1, kTicks));
+  EXPECT_EQ(scheduler.run(kTicks), kTicks);
+
+  obs::MetricsRegistry registry;
+  scheduler.record_metrics(registry);
+  const auto count = [&](const std::string& name) {
+    const obs::Counter* counter = registry.find_counter(name);
+    return counter != nullptr ? counter->value() : 0u;
+  };
+  EXPECT_EQ(count("ctrl.tenant.alpha.ticks"), 3u);
+  EXPECT_EQ(count("ctrl.tenant.alpha.iterations"), 12u);
+  EXPECT_EQ(count("ctrl.tenant.alpha.budget_exhausted"), 3u);
+  EXPECT_EQ(count("ctrl.tenant.alpha.converged_ticks"), 0u);
+  EXPECT_EQ(count("ctrl.tenant.alpha.iterations_saved"), 0u);
+  const obs::Histogram* histogram =
+      registry.find_histogram("ctrl.tenant.alpha.tick_iterations");
+  ASSERT_NE(histogram, nullptr);
+  EXPECT_EQ(histogram->count(), 3u);
+  EXPECT_DOUBLE_EQ(histogram->sum(), 12.0);
 }
 
 TEST(MultiTenant, EarlyConvergenceHandsUnusedGrantBack) {

@@ -4,12 +4,14 @@
 // The replay tests drive the stream the way the controller does — apply
 // each sparse update to a running copy of the base problem — and check the
 // result against the scenario's per-hour problems (outages included), so a
-// dropped or duplicated delta cannot hide. The CSV tests enumerate the
-// malformed-telemetry cases the parser must reject: NaN/Inf and negative
-// values, short and long rows, unknown kinds, out-of-range indices and
-// decreasing ticks all throw rather than clamp.
+// dropped or duplicated delta cannot hide; the warm replay then feeds the
+// same stream to a live solver and checks every hour against a cold solve.
+// The CSV tests enumerate the malformed-telemetry cases the parser must
+// reject: NaN/Inf and negative values, short and long rows, unknown kinds,
+// out-of-range indices and decreasing ticks all throw rather than clamp.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -19,6 +21,7 @@
 
 #include "admm/admg.hpp"
 #include "admm/engine.hpp"
+#include "admm/strategy.hpp"
 #include "ctrl/stream.hpp"
 #include "helpers.hpp"
 #include "sim/session.hpp"
@@ -252,6 +255,55 @@ TEST(TickStream, CsvUpdatesFeedApplyUpdateEndToEnd) {
   EXPECT_DOUBLE_EQ(solver.problem().datacenters[0].grid_price, 55.0);
   EXPECT_DOUBLE_EQ(solver.problem().arrivals[0] * solver.workload_scale(),
                    700.0);
+}
+
+// The receding-horizon replay of a scenario: one live solver carries the
+// stream's updates and re-solves each hour from the previous hour's iterate.
+// Every hour must land on the cold per-slot optimum (sim::SolveSession, as
+// in the paper), and the week as a whole must pay for itself in iterations.
+// The replayed solver keeps hour 0's workload normalization, which alone
+// changes iteration counts, so the savings are also checked against the same
+// replay with the iterate reset() before every re-solve.
+TEST(TickStream, WarmReplayMatchesColdSlotsWithFewerIterations) {
+  traces::ScenarioConfig config;
+  config.hours = 24;
+  const auto scenario = traces::Scenario::generate(config);
+  sim::SimulatorOptions options;
+  options.admg.tolerance = 3e-3;
+  options.admg.max_iterations = 600;
+  const std::vector<admm::AdmgReport> cold =
+      sim::solve_all_slots(scenario, admm::Strategy::Hybrid, options);
+
+  ScenarioTickSource source(scenario);
+  admm::AdmgOptions replay_options = options.admg;
+  replay_options.pinning = admm::pinning_for(admm::Strategy::Hybrid);
+  admm::AdmgSolver solver(source.base_problem(), replay_options);
+  admm::AdmgSolver restarted(source.base_problem(), replay_options);
+  std::vector<admm::AdmgReport> warm{solver.solve()};
+  int restarted_iterations = restarted.solve().iterations;
+  while (const auto update = source.next()) {
+    if (!update->empty()) {
+      solver.apply_update(*update);
+      restarted.apply_update(*update);
+    }
+    warm.push_back(solver.solve_warm());
+    restarted.reset();
+    restarted_iterations += restarted.solve_warm().iterations;
+  }
+
+  ASSERT_EQ(warm.size(), cold.size());
+  int warm_iterations = 0;
+  int cold_iterations = 0;
+  for (std::size_t hour = 0; hour < cold.size(); ++hour) {
+    EXPECT_TRUE(warm[hour].converged) << "hour " << hour;
+    EXPECT_NEAR(warm[hour].breakdown.ufc, cold[hour].breakdown.ufc,
+                5e-3 * std::abs(cold[hour].breakdown.ufc))
+        << "hour " << hour;
+    warm_iterations += warm[hour].iterations;
+    cold_iterations += cold[hour].iterations;
+  }
+  EXPECT_LT(warm_iterations, 0.8 * cold_iterations);
+  EXPECT_LT(warm_iterations, 0.8 * restarted_iterations);
 }
 
 }  // namespace

@@ -105,28 +105,6 @@ TEST(CompareStrategies, PaperDominanceInvariants) {
   EXPECT_NEAR(cmp.fuel_cell.average_utilization(), 1.0, 1e-2);
 }
 
-TEST(WarmStartWeek, MatchesColdStartObjectivesWithFewerIterations) {
-  const auto scenario = small_scenario();
-  auto cold_options = fast_options();
-  auto warm_options = fast_options();
-  warm_options.warm_start = true;
-
-  const auto cold =
-      run_strategy_week(scenario, admm::Strategy::Hybrid, cold_options);
-  const auto warm =
-      run_strategy_week(scenario, admm::Strategy::Hybrid, warm_options);
-
-  ASSERT_EQ(cold.slots.size(), warm.slots.size());
-  for (std::size_t s = 0; s < cold.slots.size(); ++s) {
-    EXPECT_TRUE(warm.slots[s].converged);
-    EXPECT_NEAR(warm.slots[s].breakdown.ufc, cold.slots[s].breakdown.ufc,
-                5e-3 * std::abs(cold.slots[s].breakdown.ufc))
-        << "slot " << s;
-  }
-  // Warm starting must pay off on the week as a whole.
-  EXPECT_LT(mean(warm.iteration_series()), 0.8 * mean(cold.iteration_series()));
-}
-
 TEST(SimulatorOptionsFromIni, AppliesOverridesAndDefaults) {
   const auto config = Config::parse(
       "[solver]\n"
