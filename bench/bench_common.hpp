@@ -1,11 +1,12 @@
-// Shared helpers for the per-figure bench binaries.
+// Shared helpers for the performance bench binaries. (The paper's tables
+// and figures come from `ufc_cli reproduce`, see src/sim/reproduce.hpp.)
 //
-// Every binary prints the paper-style table/series to stdout and writes a
-// CSV (named ufc_<experiment>.csv) into the current working directory so
-// plots can be regenerated offline. Instrumented benches additionally write
-// their headline numbers into the machine-readable BENCH_ufc.json artifact
-// (schema ufc-bench-v1, validated by scripts/check_bench_json.py), keyed by
-// bench name so re-runs update in place.
+// Every binary prints its table to stdout and writes a CSV (named
+// ufc_<bench>.csv) into the current working directory. Instrumented benches
+// additionally write their headline numbers into the machine-readable
+// BENCH_ufc.json artifact (schema ufc-bench-v1, validated by
+// scripts/check_bench_json.py), keyed by bench name so re-runs update in
+// place.
 #pragma once
 
 #include <cstdlib>

@@ -95,10 +95,8 @@ int main() {
                  "cold_status"});
   for (int t = 0; t < ticks; ++t) {
     const admm::ProblemUpdate& update = updates[static_cast<std::size_t>(t)];
-    if (!update.empty()) {
-      warm.apply_update(update);
-      cold.apply_update(update);
-    }
+    warm.apply_update(update);
+    cold.apply_update(update);
     const admm::AdmgReport warm_report = warm.solve_budgeted(kBudgetPerTick);
     cold.reset();
     const admm::AdmgReport cold_report = cold.solve_budgeted(kBudgetPerTick);

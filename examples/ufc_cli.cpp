@@ -1,6 +1,7 @@
 // ufc_cli — configuration-driven driver for the UFC library.
 //
 //   ./example_ufc_cli <command> [config.ini] [--metrics <path>]
+//   ./example_ufc_cli reproduce [DOC.md...]
 //
 // Commands:
 //   solve       solve one slot and print the full breakdown per strategy
@@ -8,6 +9,11 @@
 //   sweep-price reproduce the Fig. 9 style p0 sweep
 //   sweep-tax   reproduce the Fig. 10 style carbon-tax sweep
 //   traces      dump the generated traces to CSV
+//   reproduce   render the paper's results (sim/reproduce.hpp) and write
+//               their ufc_*.csv series into the working directory; with no
+//               DOC it prints every generated block, otherwise it rewrites
+//               the marked blocks of each DOC in place, e.g. from the
+//               repo root: reproduce EXPERIMENTS.md docs/ROBUSTNESS.md
 //
 // --metrics <path> writes a machine-readable run manifest (schema
 // ufc-run-v1, see docs/OBSERVABILITY.md): the scenario/solver configuration,
@@ -28,8 +34,11 @@
 //   [simulate]
 //   slot = 64
 //   stride = 2
+#include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,6 +47,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics_observer.hpp"
 #include "sim/manifest.hpp"
+#include "sim/reproduce.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "util/config.hpp"
@@ -232,14 +242,61 @@ int cmd_traces(const Config& config, MetricsCapture* capture) {
   return 0;
 }
 
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+int cmd_reproduce(const std::vector<std::string>& documents) {
+  // Read every document and check its markers (a rewrite with no rendered
+  // block) before solving anything: a wrong path or a malformed marker
+  // fails at once and leaves every file untouched.
+  std::vector<std::string> texts;
+  for (const auto& path : documents) {
+    texts.push_back(read_text(path));
+    sim::rewrite_generated_blocks(texts.back(), {});
+  }
+  std::vector<sim::RenderedBlock> blocks;
+  for (const auto& section : sim::reproduce_sections()) {
+    const auto output = section.render();
+    for (const auto& series : output.series) {
+      CsvWriter csv(series.file, series.header);
+      for (const auto& row : series.rows) csv.row_strings(row);
+    }
+    blocks.insert(blocks.end(), output.blocks.begin(), output.blocks.end());
+  }
+  if (documents.empty()) {
+    for (const auto& block : blocks)
+      std::cout << sim::marked_block(block) << "\n\n";
+    return 0;
+  }
+  for (std::size_t k = 0; k < documents.size(); ++k) {
+    const std::string text = sim::rewrite_generated_blocks(texts[k], blocks);
+    const bool changed = text != texts[k];
+    if (changed) {
+      std::ofstream out(documents[k], std::ios::binary);
+      out << text;
+      if (!out) throw std::runtime_error("cannot write " + documents[k]);
+    }
+    std::cout << documents[k] << (changed ? ": rewritten\n" : ": up to date\n");
+  }
+  return 0;
+}
+
 int usage() {
   std::cout <<
       "usage: ufc_cli <command> [config.ini] [--metrics <path>]\n"
+      "       ufc_cli reproduce [DOC.md...]\n"
       "  solve        solve one slot, print per-strategy breakdowns\n"
       "  simulate     run the scenario horizon, compare strategies\n"
       "  sweep-price  sweep the fuel-cell price p0 (Fig. 9 style)\n"
       "  sweep-tax    sweep the carbon tax (Fig. 10 style)\n"
       "  traces       dump generated traces to CSV\n"
+      "  reproduce    render the paper's results and their ufc_*.csv; with\n"
+      "               DOC.md paths, rewrite their generated blocks in place\n"
       "  --metrics    write a ufc-run-v1 manifest (config, results, metrics)\n";
   return 2;
 }
@@ -265,6 +322,18 @@ int main(int argc, char** argv) {
   }
   if (positional.empty()) return usage();
   const std::string command = positional[0];
+  if (command == "reproduce") {
+    if (!metrics_path.empty()) {
+      std::cerr << "error: reproduce takes no --metrics\n";
+      return 2;
+    }
+    try {
+      return cmd_reproduce({positional.begin() + 1, positional.end()});
+    } catch (const std::exception& error) {
+      std::cerr << "error: " << error.what() << "\n";
+      return 1;
+    }
+  }
   Config config;
   if (positional.size() > 1) {
     try {

@@ -69,7 +69,7 @@ class AdmgSolver {
   /// iterate: validates the batch, mutates the problem in place, keeps the
   /// construction-time workload normalization, invalidates the
   /// certification caches and projects the warm iterate back into the
-  /// primal box if a capacity shrank under it.
+  /// primal box if a capacity shrank under it. An empty batch is a no-op.
   void apply_update(const ProblemUpdate& update) {
     exec_.apply_update(update);
   }

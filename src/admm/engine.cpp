@@ -529,6 +529,10 @@ void InProcessExecutor::run_full_datacenter_pass() {
 }
 
 void InProcessExecutor::apply_update(const ProblemUpdate& update) {
+  // An empty batch describes the same problem: keep the certification gate,
+  // the residual scales and the cached sums, so a converged solver stays
+  // converged and callers need no emptiness guard.
+  if (update.empty()) return;
   // Validate the whole batch before touching anything: a malformed entry
   // must never leave the live problem half-updated under a warm solver.
   for (const auto& [i, value] : update.arrivals) {

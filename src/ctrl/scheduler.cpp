@@ -57,7 +57,7 @@ bool MultiTenantScheduler::run_tick() {
       tenant.exhausted = true;
       continue;
     }
-    if (!update->empty()) tenant.solver->apply_update(*update);
+    tenant.solver->apply_update(*update);
     participants.push_back(t);
   }
   if (participants.empty()) return false;

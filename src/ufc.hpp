@@ -7,7 +7,8 @@
 //   admm/   — the distributed 4-block ADM-G solver and strategies
 //   traces/ — calibrated synthetic (or CSV-loaded) workload/price/carbon data
 //   net/    — the message-passing protocol runtime
-//   sim/    — week-scale simulation, sweeps and extensions
+//   sim/    — week-scale simulation, sweeps, extensions and the paper's
+//             results as generated markdown blocks (sim/reproduce.hpp)
 //   ctrl/   — the online receding-horizon controller service
 #pragma once
 
@@ -29,6 +30,7 @@
 #include "net/runtime.hpp"
 #include "sim/batch.hpp"
 #include "sim/forecast_study.hpp"
+#include "sim/reproduce.hpp"
 #include "sim/simulator.hpp"
 #include "sim/storage.hpp"
 #include "sim/sweep.hpp"

@@ -5,6 +5,7 @@
 //  1. apply_update validates the whole batch before committing anything and
 //     invalidates every cache describing the pre-update problem, so a warm
 //     re-solve after a price mutation reaches the new problem's optimum.
+//     An empty batch describes the same problem and invalidates nothing.
 //  2. A fuel-cell capacity shrinking below the warm mu_j routes the iterate
 //     through the clamp_iterate feasibility projection (whose mu/nu bounds
 //     were once swapped — see ClampProjectsMuToCapacityAndNuToZero).
@@ -38,6 +39,20 @@ TEST(ProblemUpdateTest, EmptyDetectsAnyPopulatedBatch) {
   EXPECT_TRUE(update.empty());
   update.carbon_rates.emplace_back(0, 100.0);
   EXPECT_FALSE(update.empty());
+}
+
+TEST(ProblemUpdateTest, EmptyBatchKeepsAConvergedSolverConverged) {
+  AdmgOptions options;
+  options.record_trace = false;
+  AdmgSolver solver(make_tiny_problem(), options);
+  ASSERT_TRUE(solver.solve().converged);
+  ASSERT_TRUE(solver.is_converged());
+  const auto before = solver.checkpoint();
+
+  solver.apply_update(ProblemUpdate{});
+
+  EXPECT_TRUE(solver.is_converged());
+  EXPECT_EQ(solver.checkpoint(), before);
 }
 
 TEST(ProblemUpdateTest, RejectsMalformedEntriesWithoutCommitting) {

@@ -119,7 +119,7 @@ TEST(MultiTenant, SingleTenantEqualsBudgetedSolveLoop) {
   auto stream = tiny_stream(9, kTicks);
   admm::AdmgSolver solver(stream->base_problem(), options.admg);
   while (const auto update = stream->next()) {
-    if (!update->empty()) solver.apply_update(*update);
+    solver.apply_update(*update);
     solver.solve_budgeted(kPool);
   }
 

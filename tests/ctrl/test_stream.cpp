@@ -282,10 +282,8 @@ TEST(TickStream, WarmReplayMatchesColdSlotsWithFewerIterations) {
   std::vector<admm::AdmgReport> warm{solver.solve()};
   int restarted_iterations = restarted.solve().iterations;
   while (const auto update = source.next()) {
-    if (!update->empty()) {
-      solver.apply_update(*update);
-      restarted.apply_update(*update);
-    }
+    solver.apply_update(*update);
+    restarted.apply_update(*update);
     warm.push_back(solver.solve_warm());
     restarted.reset();
     restarted_iterations += restarted.solve_warm().iterations;

@@ -10,7 +10,8 @@
 namespace ufc::sim {
 namespace {
 
-// One shared full-week run (the solve is the expensive part; ~15 s total).
+// One shared full-week run (the solve is the expensive part: about 0.35 s
+// in a RelWithDebInfo build).
 class PaperClaims : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
