@@ -664,13 +664,15 @@ def check_global_state(tree: Tree):
 # Rules on the iteration hot path: no-alloc-in-step, step-exceptions,
 # finite-iterate-guard, hot-path-live
 # ---------------------------------------------------------------------------
-# The per-iteration hot path: InProcessExecutor::step, the datacenter pass it
-# calls, and the two block solvers the passes call once per row or column.
-# Every Mat/Vec they need lives in workspaces sized once in reset() or grown
-# on the first block solve. (AdmgSolver::step is inline in admm/admg.hpp and
-# only forwards to the engine.)
-HOT_PATH = ("InProcessExecutor::step",
-            "InProcessExecutor::run_full_datacenter_pass",
+# The per-iteration hot path: AdmgSolver::step, the datacenter pass it calls,
+# the datacenter procedures that pass shares with net::DatacenterAgent, and
+# the two block solvers the passes call once per row or column. Every Mat/Vec
+# they need lives in workspaces sized once in reset() (or by the agent's
+# constructor) or grown on the first block solve. (The no-argument
+# AdmgSolver::step() is inline in admm/admg.hpp and only forwards to
+# step(int).)
+HOT_PATH = ("AdmgSolver::step", "AdmgSolver::run_full_datacenter_pass",
+            "predict_datacenter", "correct_datacenter",
             "solve_lambda_block_into", "solve_a_block_into")
 # The iteration loop itself. It is exception-free like the hot path, but
 # not allocation-free: it packages the report once, after the loop.
@@ -1201,14 +1203,18 @@ LAYERING = "include-layering dangling-include include-cycle"
 WIDGET_HPP = "#pragma once\nclass Widget {\n public:\n  void poke(int value);\n};\n"
 CHRONO = "auto t = std::chrono::steady_clock::now();\n"
 # One definition of every HOT_PATH and ENGINE_LOOP entry.
-HOT_PATH_ENGINE = ("void InProcessExecutor::step(int iteration) {\n  run();\n}\n"
-                   "SolveCore AdmgEngine::solve(BlockExecutor& executor) {\n"
-                   "  return run(executor);\n}\n")
+HOT_PATH_ENGINE = ("SolveCore AdmgEngine::solve(BlockExecutor& executor) {\n"
+                   "  return run(executor);\n}\n"
+                   "Prediction predict_datacenter(const Data& dc) {\n"
+                   "  return run(dc);\n}\n"
+                   "double correct_datacenter(const Data& dc) {\n"
+                   "  return run(dc);\n}\n")
+HOT_PATH_SOLVER = "void AdmgSolver::step(int iteration) {\n  run();\n}\n"
 HOT_PATH_BLOCKS = ("void solve_lambda_block_into(const LambdaBlockInputs& in) {\n"
                    "  run(in);\n}\n"
                    "void solve_a_block_into(const ABlockInputs& in) {\n"
                    "  run(in);\n}\n")
-DATACENTER_PASS = "void InProcessExecutor::run_full_datacenter_pass() {\n  run();\n}\n"
+DATACENTER_PASS = "void AdmgSolver::run_full_datacenter_pass() {\n  run();\n}\n"
 
 # (case, rules checked, {path: text}, one message substring per expected
 # finding of those rules, after suppression)
@@ -1276,32 +1282,32 @@ FIXTURES = [
       'auto p = c.get_string("output.csv", "ufc_simulate.csv");\n'}, CLEAN),
     # no-alloc-in-step
     ("no_alloc_in_step_named_local_flagged", "no-alloc-in-step",
-     {"src/admm/engine.cpp":
-      "void InProcessExecutor::run_full_datacenter_pass() {\n"
+     {"src/admm/admg.cpp":
+      "void AdmgSolver::run_full_datacenter_pass() {\n"
       "  Vec scratch(n_);\n  use(scratch);\n}\n"}, FLAGGED),
     ("no_alloc_in_step_executor_flagged", "no-alloc-in-step",
-     {"src/admm/engine.cpp": "void InProcessExecutor::step(int iteration) {\n"
-                             "  Vec scratch(n_);\n"
-                             "  use(scratch, iteration);\n}\n"}, FLAGGED),
+     {"src/admm/admg.cpp": "void AdmgSolver::step(int iteration) {\n"
+                           "  Vec scratch(n_);\n"
+                           "  use(scratch, iteration);\n}\n"}, FLAGGED),
     ("no_alloc_in_step_temporary_flagged", "no-alloc-in-step",
-     {"src/admm/engine.cpp": "void InProcessExecutor::step(int iteration) {\n"
-                             "  a_ = Mat(m_, n_);\n}\n"}, FLAGGED),
+     {"src/admm/admg.cpp": "void AdmgSolver::step(int iteration) {\n"
+                           "  a_ = Mat(m_, n_);\n}\n"}, FLAGGED),
     ("no_alloc_outside_step_ok", "no-alloc-in-step",
-     {"src/admm/engine.cpp": "void InProcessExecutor::reset() {\n"
-                             "  Vec scratch(n_);\n  use(scratch);\n}\n"
-                             "void InProcessExecutor::step(int iteration) {\n"
-                             "  scratch_.fill(0.0);\n}\n"}, CLEAN),
+     {"src/admm/admg.cpp": "void AdmgSolver::reset() {\n"
+                           "  Vec scratch(n_);\n  use(scratch);\n}\n"
+                           "void AdmgSolver::step(int iteration) {\n"
+                           "  scratch_.fill(0.0);\n}\n"}, CLEAN),
     ("no_alloc_in_step_reference_param_ok", "no-alloc-in-step",
-     {"src/admm/engine.cpp": "void InProcessExecutor::step(int iteration) {\n"
-                             "  pool_.parallel_for(0, m_, [&](const Vec& row) {\n"
-                             "    consume(row);\n  });\n}\n"}, CLEAN),
+     {"src/admm/admg.cpp": "void AdmgSolver::step(int iteration) {\n"
+                           "  pool_.parallel_for(0, m_, [&](const Vec& row) {\n"
+                           "    consume(row);\n  });\n}\n"}, CLEAN),
     ("no_alloc_in_step_declaration_not_matched", "no-alloc-in-step",
-     {"src/admm/engine.cpp": "void InProcessExecutor::step(int iteration);\n"},
+     {"src/admm/admg.cpp": "void AdmgSolver::step(int iteration);\n"},
      CLEAN),
     ("no_alloc_in_step_suppressed", "no-alloc-in-step",
-     {"src/admm/engine.cpp": "void InProcessExecutor::step(int iteration) {\n"
-                             "  // ufc-lint: allow(no-alloc-in-step)\n"
-                             "  Vec scratch(n_);\n  use(scratch);\n}\n"}, CLEAN),
+     {"src/admm/admg.cpp": "void AdmgSolver::step(int iteration) {\n"
+                           "  // ufc-lint: allow(no-alloc-in-step)\n"
+                           "  Vec scratch(n_);\n  use(scratch);\n}\n"}, CLEAN),
     ("no_alloc_in_lambda_block_solver_flagged", "no-alloc-in-step",
      {"src/admm/blocks.cpp":
       "void solve_lambda_block_into(const LambdaBlockInputs& in,\n"
@@ -1325,9 +1331,14 @@ FIXTURES = [
       "  Vec out(in.varphi_col.size());\n"
       "  solve_a_block_into(in, out.span(), ws);\n  return out;\n}\n"}, CLEAN),
     ("no_alloc_in_step_pass_helper_flagged", "no-alloc-in-step",
-     {"src/admm/engine.cpp":
-      "void InProcessExecutor::run_full_datacenter_pass() {\n"
+     {"src/admm/admg.cpp":
+      "void AdmgSolver::run_full_datacenter_pass() {\n"
       "  a_t_ = Mat(n_, m_);\n}\n"}, FLAGGED),
+    ("no_alloc_in_shared_datacenter_procedure_flagged", "no-alloc-in-step",
+     {"src/admm/engine.cpp":
+      "DatacenterPrediction predict_datacenter(std::span<const double> a) {\n"
+      "  Vec column(a);\n  return run(column);\n}\n"},
+     ["predict_datacenter"]),
     # no-sort-in-hot-path
     ("no_sort_in_hot_path_admm_flagged", "no-sort-in-hot-path",
      {"src/admm/blocks.cpp":
@@ -1381,8 +1392,8 @@ FIXTURES = [
       "SolveCore AdmgEngine::solve(BlockExecutor& executor, int first);\n"},
      CLEAN),
     ("finite_iterate_guard_other_functions_exempt", "finite-iterate-guard",
-     {"src/admm/engine.cpp": "void InProcessExecutor::reset() {\n"
-                             "  for (int k = 0; k < max; ++k) clear(k);\n}\n"},
+     {"src/admm/admg.cpp": "void AdmgSolver::reset() {\n"
+                           "  for (int k = 0; k < max; ++k) clear(k);\n}\n"},
      CLEAN),
     ("finite_iterate_guard_suppressed", "finite-iterate-guard",
      {"src/admm/engine.cpp":
@@ -1527,24 +1538,30 @@ FIXTURES = [
                             "  return local;\n}\n}\n"}, CLEAN),
     # step-exceptions
     ("throw_in_hot_loop_fails", "step-exceptions",
-     {"src/admm/engine.cpp": "namespace ufc::admm {\n"
-                             "void InProcessExecutor::step(int iteration) {\n"
-                             "  if (iteration < 0) throw 1;\n}\n}\n"}, FLAGGED),
+     {"src/admm/admg.cpp": "namespace ufc::admm {\n"
+                           "void AdmgSolver::step(int iteration) {\n"
+                           "  if (iteration < 0) throw 1;\n}\n}\n"}, FLAGGED),
     ("throw_outside_hot_loop_passes", "step-exceptions",
-     {"src/admm/engine.cpp": "namespace ufc::admm {\n"
-                             "void InProcessExecutor::reset() { throw 1; }\n"
-                             "void InProcessExecutor::step(int iteration) {\n"
-                             "  counter_ += iteration;\n}\n}\n"}, CLEAN),
+     {"src/admm/admg.cpp": "namespace ufc::admm {\n"
+                           "void AdmgSolver::reset() { throw 1; }\n"
+                           "void AdmgSolver::step(int iteration) {\n"
+                           "  counter_ += iteration;\n}\n}\n"}, CLEAN),
     ("throw_in_datacenter_pass_flagged", "step-exceptions",
-     {"src/admm/engine.cpp": "void InProcessExecutor::run_full_datacenter_pass() {\n"
-                             "  if (n_ == 0) throw 1;\n}\n"},
+     {"src/admm/admg.cpp": "void AdmgSolver::run_full_datacenter_pass() {\n"
+                           "  if (n_ == 0) throw 1;\n}\n"},
      ["run_full_datacenter_pass"]),
+    ("throw_in_shared_datacenter_procedure_flagged", "step-exceptions",
+     {"src/admm/engine.cpp": "double correct_datacenter(double& mu) {\n"
+                             "  if (mu < 0.0) throw 1;\n  return mu;\n}\n"},
+     ["correct_datacenter"]),
     # hot-path-live
     ("hot_path_live_every_entry_defined_ok", "hot-path-live",
-     {"src/admm/engine.cpp": HOT_PATH_ENGINE + DATACENTER_PASS,
+     {"src/admm/engine.cpp": HOT_PATH_ENGINE,
+      "src/admm/admg.cpp": HOT_PATH_SOLVER + DATACENTER_PASS,
       "src/admm/blocks.cpp": HOT_PATH_BLOCKS}, CLEAN),
     ("hot_path_live_entry_without_definition_flagged", "hot-path-live",
      {"src/admm/engine.cpp": HOT_PATH_ENGINE,
+      "src/admm/admg.cpp": HOT_PATH_SOLVER,
       "src/admm/blocks.cpp": HOT_PATH_BLOCKS}, ["run_full_datacenter_pass"]),
     # expects-reach
     ("expects_guard_missing", "expects-reach",

@@ -4,6 +4,21 @@
 
 namespace ufc::admm {
 
+PartialParticipationExecutor::PartialParticipationExecutor(
+    const UfcProblem& problem, AdmgOptions options, double participation,
+    std::uint64_t seed)
+    : AdmgSolver(problem, options) {
+  UFC_EXPECTS(participation > 0.0 && participation <= 1.0);
+  // The pinned baselines' convergence argument assumes every agent moves
+  // every round. 1.0 is an exact sentinel meaning "every agent
+  // participates", not a computed value.
+  // ufc-lint: allow(float-equal)
+  UFC_EXPECTS(options.pinning == BlockPinning::None || participation == 1.0);
+  // At exactly 1 the straggler model stays disabled: the step consumes no
+  // randomness and remains bit-identical to the synchronous path.
+  if (participation < 1.0) enable_partial(participation, seed);
+}
+
 AsyncReport solve_async_admg(const UfcProblem& problem,
                              const AsyncOptions& options) {
   UFC_EXPECTS(options.participation > 0.0 && options.participation <= 1.0);
@@ -16,9 +31,8 @@ AsyncReport solve_async_admg(const UfcProblem& problem,
 
   PartialParticipationExecutor executor(problem, options.admg,
                                         options.participation, options.seed);
-  AdmgEngine engine(options.admg);
   AsyncReport report;
-  static_cast<SolveCore&>(report) = engine.solve(executor);
+  static_cast<SolveCore&>(report) = executor.solve_warm();
   report.skipped_updates = executor.skipped_updates();
   return report;
 }

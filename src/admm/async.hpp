@@ -7,15 +7,17 @@
 // probability `participation` (its previous prediction lambda~_i and dual
 // are reused otherwise); datacenter blocks always run.
 //
-// The driver is a thin wrapper over AdmgEngine + PartialParticipationExecutor
-// (engine.hpp), so the iteration skeleton, trace and convergence gate are the
-// synchronous solver's, straggler draws aside.
+// PartialParticipationExecutor is AdmgSolver with the straggler model
+// switched on, so the step, iteration skeleton, trace and convergence gate
+// are the synchronous solver's, straggler draws aside.
 //
 // This is an empirical-robustness extension (the paper's ADM-G analysis is
 // synchronous): tests verify participation = 1 reproduces the synchronous
 // solver bit-for-bit and that lower participation still reaches the same
 // objective, while the ablation bench quantifies the iteration inflation.
 #pragma once
+
+#include <cstdint>
 
 #include "admm/admg.hpp"
 
@@ -30,6 +32,18 @@ struct AsyncOptions {
 
 struct AsyncReport : SolveCore {
   std::uint64_t skipped_updates = 0;  ///< Total stragglers over the run.
+};
+
+/// The asynchronous-participation executor: AdmgSolver with the straggler
+/// model enabled. Participation must lie in (0, 1]; the pinned baselines
+/// require participation == 1 (their convergence guarantees assume every
+/// agent moves every round).
+class PartialParticipationExecutor : public AdmgSolver {
+ public:
+  PartialParticipationExecutor(const UfcProblem& problem, AdmgOptions options,
+                               double participation, std::uint64_t seed);
+
+  using AdmgSolver::skipped_updates;
 };
 
 /// Runs ADM-G with randomized front-end participation.

@@ -4,15 +4,23 @@
 // scheme of He, Tao & Yuan: an alternating ADMM pass in the forward order
 // lambda -> mu -> nu -> a -> duals, followed by a Gaussian back substitution
 // correction in the backward order. This header hosts that algorithm exactly
-// once, split along its natural seam:
+// once, split along its natural seams:
 //
+//   step_rule, workload_scale_for, residual_scales
+//                     the option checks, the workload normalization sigma
+//                     and the convergence-gate scales every driver uses.
+//   predict_datacenter / correct_datacenter
+//                     one datacenter's procedures 2-5 and its correction
+//                     (paper Fig. 2). AdmgSolver's datacenter pass and
+//                     net::DatacenterAgent both call them.
 //   AdmgEngine        the iteration skeleton — convergence gate, watchdog,
 //                     trace/telemetry, centralized fallback, solution
 //                     packaging. Knows nothing about *where* blocks run.
 //   BlockExecutor     how one iteration's blocks get computed. Three
 //                     implementations:
-//                       InProcessExecutor              serial / thread-pool
+//                       AdmgSolver (admg.hpp)          serial / thread-pool
 //                       PartialParticipationExecutor   straggler model
+//                         (async.hpp)
 //                       net::BusExecutor               message passing
 //   IterationObserver structured telemetry (telemetry.hpp).
 //
@@ -35,8 +43,6 @@
 #include "admm/watchdog.hpp"
 #include "model/breakdown.hpp"
 #include "model/problem.hpp"
-#include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ufc::admm {
 
@@ -134,6 +140,11 @@ struct AdmgOptions {
 /// The default workload normalization sigma: the mean arrival, floored at 1.
 double natural_workload_scale(const UfcProblem& problem);
 
+/// The sigma a solve uses: options.workload_scale when positive, else
+/// natural_workload_scale(problem).
+double workload_scale_for(const UfcProblem& problem,
+                          const AdmgOptions& options);
+
 /// Returns an equivalent problem in normalized workload units
 /// lambda' = lambda / sigma: arrivals and server counts divided by sigma,
 /// per-server watts and the latency weight multiplied by sigma. The UFC
@@ -159,41 +170,105 @@ struct ProblemUpdate {
   }
 };
 
+/// The per-step constants of one ADM-G iteration, shared by every driver.
+/// The defaults match AdmgOptions{}.
+struct StepRule {
+  double rho = 10.0;
+  /// Back-substitution relaxation; 1 when gbs is off, where the plain ADMM
+  /// ablation accepts the prediction unchanged.
+  double epsilon = 1.0;
+  bool gbs = true;      ///< Gaussian back substitution on.
+  bool pin_mu = false;  ///< Grid strategy: mu_j = 0.
+  bool pin_nu = false;  ///< FuelCell strategy: nu_j = 0.
+};
+
+/// The one validation of the options both drivers share, on the workload-
+/// normalized problem: rho > 0, epsilon in (0.5, 1], max_iterations > 0,
+/// tolerance > 0, threads >= 0 and, under PinNu, fuel cells that carry each
+/// datacenter's peak demand. Throws ufc::ContractViolation otherwise.
+StepRule step_rule(const UfcProblem& normalized_problem,
+                   const AdmgOptions& options);
+
+/// The convergence gate's residual normalizations.
+struct ResidualScales {
+  double balance = 1.0;  ///< MW: the largest peak demand, at least 1.
+  double copy = 1.0;     ///< Normalized units: the largest arrival, at least 1.
+};
+
+ResidualScales residual_scales(const UfcProblem& normalized_problem);
+
 // ---------------------------------------------------------------------------
-// Gaussian back substitution correction steps (paper step 2, backward order).
+// One datacenter's step (paper Fig. 2, procedures 2-5 and the correction).
 //
-// These three helpers are the ONLY place the GBS correction arithmetic lives;
-// the in-process executor and the net:: agents both call them, and the
-// engine-single-loop lint rule keeps a fourth copy from ever reappearing.
-// With gbs=false they apply the plain multi-block ADMM ablation (accept the
+// predict_datacenter and correct_datacenter are the ONLY copy of the
+// datacenter arithmetic: AdmgSolver's datacenter pass runs them over its
+// columns and net::DatacenterAgent runs them on its own state, so the two
+// drivers produce bit-identical iterates by construction. The front-ends'
+// dual varphi is corrected with correct_varphi_block — by AdmgSolver's
+// column pass, and by each net::FrontEndAgent on its row. With gbs=false
+// the corrections apply the plain multi-block ADMM ablation (accept the
 // prediction unchanged).
 
-/// Result of correcting one a-block column.
+/// Datacenter j's local data, in normalized workload units.
+struct DatacenterData {
+  double alpha_mw = 0.0;               ///< alpha_j, MW.
+  double beta_mw = 0.0;                ///< beta_j, MW per workload unit.
+  double capacity_servers = 0.0;       ///< S_j.
+  double fuel_cell_capacity_mw = 0.0;  ///< mu_j^max.
+  double fuel_cell_price = 0.0;        ///< p_0.
+  double grid_price = 0.0;             ///< p_j.
+  double carbon_tons_per_mwh = 0.0;    ///< kappa_j = C_j / 1000.
+  /// Non-owning, non-null; the problem (or the agent) keeps it alive.
+  const EmissionCostFunction* emission_cost = nullptr;
+};
+
+DatacenterData datacenter_data(const UfcProblem& normalized_problem,
+                               std::size_t j);
+
+/// The predicted sources and dual of one datacenter.
+struct DatacenterPrediction {
+  double mu = 0.0;   ///< mu~_j (0 under PinMu).
+  double nu = 0.0;   ///< nu~_j (0 under PinNu).
+  double phi = 0.0;  ///< phi~_j.
+};
+
+/// Procedures 2-5: the mu, nu and a blocks from the iteration-k column `a`,
+/// nu and phi (the mu block does not read mu^k) and this round's proposals
+/// lambda~ and varphi, then the phi prediction. Writes a~ into `a_tilde`
+/// (sized like `a`, not aliasing any input) and returns {mu~, nu~, phi~}.
+DatacenterPrediction predict_datacenter(
+    const DatacenterData& dc, const StepRule& rule, std::span<const double> a,
+    double nu, double phi, std::span<const double> lambda_tilde,
+    std::span<const double> varphi, std::span<double> a_tilde,
+    BlockWorkspace& ws);
+
+/// The correction, in the paper's backward order: a toward a~, then phi,
+/// nu and mu with the cross-block terms derived from (K_i^T K_i)^{-1}
+/// K_i^T K_j (see DESIGN.md). Returns the largest a/nu/mu movement.
+double correct_datacenter(const DatacenterData& dc, const StepRule& rule,
+                          const DatacenterPrediction& predicted,
+                          std::span<const double> a_tilde,
+                          std::span<double> a, double& mu, double& nu,
+                          double& phi);
+
+/// Result of correcting one a-block column or row.
 struct ABlockCorrection {
   double delta_sum = 0.0;   ///< Sum of applied a-deltas (meaningful under gbs).
   double max_change = 0.0;  ///< max_i |a_new_i - a_old_i|.
 };
 
-/// Corrects one varphi column in place: varphi_i <- varphi_i +
-/// eps * (varphi~_i - varphi_i) with varphi~ from update_varphi.
+/// Corrects varphi in place: varphi_i <- varphi_i + eps * (varphi~_i -
+/// varphi_i) with varphi~ from update_varphi.
 void correct_varphi_block(std::span<double> varphi,
                           std::span<const double> a_tilde,
-                          std::span<const double> lambda_tilde, double rho,
-                          double eps, bool gbs);
+                          std::span<const double> lambda_tilde,
+                          const StepRule& rule);
 
-/// Corrects one a column in place toward its prediction a~.
+/// Corrects a in place toward its prediction a~ (a front-end's mirror row
+/// or a datacenter's column).
 ABlockCorrection correct_a_block(std::span<double> a,
-                                 std::span<const double> a_tilde, double eps,
-                                 bool gbs);
-
-/// Corrects one datacenter's phi, nu and mu (backward order: dual first, then
-/// the sources with the cross-block terms derived from (K_i^T K_i)^{-1}
-/// K_i^T K_j — see DESIGN.md). `delta_sum` is ABlockCorrection::delta_sum of
-/// the same column. Returns the largest nu/mu movement.
-double correct_sources(double& phi, double& nu, double& mu, double phi_tilde,
-                       double nu_tilde, double mu_tilde, double beta,
-                       double delta_sum, double eps, bool gbs, bool pin_mu,
-                       bool pin_nu);
+                                 std::span<const double> a_tilde,
+                                 const StepRule& rule);
 
 // ---------------------------------------------------------------------------
 
@@ -269,167 +344,6 @@ class BlockExecutor {
   /// is the standard projected-acceleration safeguard and is a no-op on
   /// feasible iterates. Duals are untouched.
   virtual void clamp_iterate(std::span<double> values) const { (void)values; }
-};
-
-/// The monolithic executor: the serial / thread-pool ADM-G pass that
-/// AdmgSolver has always run, plus (optionally, via enable_partial) the
-/// seeded straggler model of the asynchronous-participation extension.
-class InProcessExecutor : public BlockExecutor {
- public:
-  /// Validates the problem and options; for PinNu additionally requires
-  /// every datacenter's fuel-cell capacity to cover its peak demand.
-  InProcessExecutor(const UfcProblem& problem, AdmgOptions options);
-
-  void step(int iteration) override;
-  void set_phase_profiling(bool enabled) override { profile_ = enabled; }
-  const PhaseProfile* phase_profile() const override {
-    return profile_ ? &profile_last_ : nullptr;
-  }
-  double balance_residual() const override;
-  double copy_residual() const override;
-  double last_change() const override { return last_change_; }
-  double balance_scale() const override { return balance_scale_; }
-  double copy_scale() const override { return copy_scale_; }
-  double objective() const override;
-  bool iterate_finite() const override;
-  double workload_scale() const override { return sigma_; }
-  const UfcProblem& original_problem() const override { return original_; }
-  Mat gather_lambda() const override { return lambda_; }
-  Vec gather_mu() const override { return mu_; }
-
-  std::size_t iterate_size() const override {
-    return 3 * m_ * n_ + 3 * n_;
-  }
-  void copy_iterate(std::span<double> out) const override;
-  void set_iterate(std::span<const double> values) override;
-  void clamp_iterate(std::span<double> values) const override;
-
-  /// Back to the paper's cold start (all variables zero).
-  void reset();
-  /// Applies a sparse tick update to the live problem in place (no
-  /// full-problem copy, no re-validation of untouched rows; the workload
-  /// normalization sigma is kept from construction, so iterates remain
-  /// directly comparable). The warm iterate carries over; every
-  /// cache that described the pre-update problem — the convergence-
-  /// certification gate, the maintained column sums, residual scales — is
-  /// invalidated, and an iterate left outside the new primal box (a
-  /// fuel-cell cap shrinking below the warm mu_j) is routed through the
-  /// clamp_iterate feasibility projection before the next step.
-  void apply_update(const ProblemUpdate& update);
-
-  // Read access to the current iterate (post-correction), in *normalized*
-  // workload units.
-  const Mat& lambda() const { return lambda_; }
-  const Vec& mu() const { return mu_; }
-  const Vec& nu() const { return nu_; }
-  const Mat& a() const { return a_; }
-  const Vec& phi() const { return phi_; }
-  const Mat& varphi() const { return varphi_; }
-
-  /// True when both scaled primal residuals and the scaled last change are
-  /// below tolerance.
-  bool is_converged() const;
-
-  /// The normalized problem the executor operates on.
-  const UfcProblem& problem() const { return problem_; }
-  const AdmgOptions& options() const { return options_; }
-
-  /// Front-end updates skipped by the straggler model (0 unless partial
-  /// participation is enabled).
-  std::uint64_t skipped_updates() const { return skipped_updates_; }
-
-  /// Serializes the complete iterate (primal, dual, last-change tracking)
-  /// with the shared wire codec. A restored executor continues
-  /// bit-identically to one that never paused.
-  std::vector<std::byte> checkpoint() const;
-  /// Restores a checkpoint() image. The executor must hold a problem with
-  /// the same dimensions and workload normalization; anything else
-  /// (including a truncated or mutated image) throws ufc::ContractViolation.
-  void restore(std::span<const std::byte> bytes);
-
- protected:
-  /// Enables the straggler model: each step, every front-end independently
-  /// participates with probability `participation` (seeded Bernoulli, drawn
-  /// serially in front-end order); a straggler's lambda prediction is the
-  /// cached one from its last participating step. Requires
-  /// participation in (0, 1); at exactly 1 the model is left disabled so the
-  /// step consumes no randomness and stays bit-identical to the synchronous
-  /// path.
-  void enable_partial(double participation, std::uint64_t seed);
-
- private:
-  /// Per-worker scratch: block-solver workspace and the a~ prediction
-  /// buffer. One instance per pool thread, indexed by parallel_for_chunks'
-  /// chunk index; a_new is sized in reset() and never reallocated inside
-  /// step().
-  struct WorkerScratch {
-    BlockWorkspace blocks;
-    Vec a_new;  ///< a~ prediction for one column (M).
-  };
-
-  void update_residual_scales();
-  /// Projects the warm iterate through clamp_iterate when apply_update left
-  /// it outside the primal box (a shrunken fuel-cell cap). No-op — and no
-  /// cache invalidation — while the iterate is already feasible.
-  void repair_iterate_bounds();
-  void run_full_datacenter_pass();
-
-  UfcProblem original_;  ///< As given (for the final evaluation).
-  UfcProblem problem_;   ///< Workload-normalized.
-  AdmgOptions options_;
-  double sigma_ = 1.0;
-  std::size_t m_ = 0;  ///< Front-ends.
-  std::size_t n_ = 0;  ///< Datacenters.
-
-  Mat lambda_, a_, varphi_;
-  Vec mu_, nu_, phi_;
-  double last_change_ = 0.0;
-  bool stepped_ = false;        ///< last_change_ is meaningful only after a step.
-  double balance_scale_ = 1.0;  ///< Residual normalization, MW.
-  double copy_scale_ = 1.0;     ///< Residual normalization, normalized units.
-
-  // Straggler model (enable_partial).
-  bool partial_ = false;
-  double participation_ = 1.0;
-  Rng rng_{1};
-  std::vector<unsigned char> participate_;  ///< Per-front-end mask, this step.
-  std::uint64_t skipped_updates_ = 0;
-
-  // Step workspace (hoisted out of step(); see reset()).
-  util::ThreadPool pool_;
-  Mat lambda_tilde_;                   ///< Swapped with lambda_ each step.
-  Vec a_col_sum_;                      ///< Per-step cache of a^k column sums.
-  std::vector<WorkerScratch> scratch_; ///< One per pool thread.
-  std::vector<double> chunk_change_;   ///< Per-chunk last-change maxima.
-
-  // Transposed mirrors (N x M) for the fused datacenter pass: the pass works
-  // on contiguous rows of these instead of striding the row-major primaries,
-  // then transposes the corrected state back (cache-blocked both ways).
-  Mat lambda_tilde_t_, a_t_, varphi_t_;
-  /// Post-correction a column sums, maintained by the datacenter pass in
-  /// increasing-i order (bitwise equal to Mat::col_sum) so balance_residual
-  /// stops re-striding a_ every iteration.
-  Vec a_col_sum_post_;
-  bool post_sums_fresh_ = false;
-
-  // Phase profiling (set_phase_profiling). The fused datacenter pass splits
-  // its time per column into prediction vs correction, accumulated per chunk
-  // and summed in chunk order afterwards — deterministic bookkeeping around
-  // unchanged arithmetic.
-  bool profile_ = false;
-  PhaseProfile profile_last_;
-  std::vector<double> chunk_predict_seconds_;
-  std::vector<double> chunk_correct_seconds_;
-};
-
-/// The asynchronous-participation executor (extension bench §"async"): the
-/// in-process pass with the straggler model enabled. Participation must lie
-/// in (0, 1]; the pinned baselines require participation == 1 (their
-/// convergence guarantees assume every agent moves every round).
-class PartialParticipationExecutor : public InProcessExecutor {
- public:
-  PartialParticipationExecutor(const UfcProblem& problem, AdmgOptions options,
-                               double participation, std::uint64_t seed);
 };
 
 /// The driver-independent iteration skeleton: convergence gate, watchdog,

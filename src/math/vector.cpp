@@ -96,4 +96,11 @@ double max_abs_diff(const Vec& a, const Vec& b) {
   return m;
 }
 
+// ufc-lint: allow(expects-reach) — total predicate.
+bool all_finite(std::span<const double> values) {
+  for (double v : values)
+    if (!std::isfinite(v)) return false;
+  return true;
+}
+
 }  // namespace ufc

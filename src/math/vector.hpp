@@ -75,4 +75,7 @@ void add_scaled_into(double alpha, std::span<const double> x,
 /// Maximum absolute difference between two equal-sized vectors.
 double max_abs_diff(const Vec& a, const Vec& b);
 
+/// True iff every entry is finite (no NaN, no infinity).
+bool all_finite(std::span<const double> values);
+
 }  // namespace ufc

@@ -40,16 +40,14 @@ std::size_t FrontEndAgent::position_of(NodeId source) const {
 
 void FrontEndAgent::send_proposals(Transport& bus, int iteration) {
   UFC_EXPECTS(iteration >= 0);
-  admm::LambdaBlockInputs in;
-  in.arrival = config_.arrival;
-  in.latency_row = config_.latency_row_s;
-  in.a_row = a_;
-  in.varphi_row = varphi_;
-  in.rho = config_.protocol.rho;
-  in.latency_weight = config_.latency_weight;
-  in.utility = config_.utility.get();
-  admm::solve_lambda_block_into(in, lambda_.span(), lambda_tilde_.span(),
-                                blocks_);
+  admm::solve_lambda_block_into({.arrival = config_.arrival,
+                                 .latency_row = config_.latency_row_s.span(),
+                                 .a_row = a_.span(),
+                                 .varphi_row = varphi_.span(),
+                                 .rho = config_.protocol.rule.rho,
+                                 .latency_weight = config_.latency_weight,
+                                 .utility = config_.utility.get()},
+                                lambda_.span(), lambda_tilde_.span(), blocks_);
 
   for (std::size_t j = 0; j < n_; ++j) {
     Message msg;
@@ -87,16 +85,12 @@ void FrontEndAgent::process_assignments(Transport& bus, int iteration) {
   for (std::size_t j = 0; j < n_; ++j)
     if (last_assignment_round_[j] < iteration) ++stale_assignments_;
 
-  const Vec& a_tilde = a_tilde_cache_;
-  const double rho = config_.protocol.rho;
-  const bool gbs = config_.protocol.gaussian_back_substitution;
-  const double eps = gbs ? config_.protocol.epsilon : 1.0;
-
   // Shared GBS correction helpers (admm/engine.cpp) — the same arithmetic
-  // the in-process executor runs, applied to this front-end's row.
-  admm::correct_varphi_block(varphi_.span(), a_tilde.span(),
-                             lambda_tilde_.span(), rho, eps, gbs);
-  admm::correct_a_block(a_.span(), a_tilde.span(), eps, gbs);
+  // AdmgSolver runs, applied to this front-end's row.
+  const admm::StepRule& rule = config_.protocol.rule;
+  admm::correct_varphi_block(varphi_.span(), a_tilde_cache_.span(),
+                             lambda_tilde_.span(), rule);
+  admm::correct_a_block(a_.span(), a_tilde_cache_.span(), rule);
   lambda_ = lambda_tilde_;
 
   last_copy_residual_ = 0.0;
@@ -169,7 +163,8 @@ DatacenterAgent::DatacenterAgent(DatacenterLocalConfig config)
     : config_(std::move(config)) {
   UFC_EXPECTS(config_.num_front_ends > 0);
   UFC_EXPECTS(config_.emission_cost != nullptr);
-  UFC_EXPECTS(!(config_.protocol.pin_mu && config_.protocol.pin_nu));
+  UFC_EXPECTS(!(config_.protocol.rule.pin_mu && config_.protocol.rule.pin_nu));
+  config_.data.emission_cost = config_.emission_cost.get();
   a_ = Vec(config_.num_front_ends, 0.0);
   a_tilde_ = Vec(config_.num_front_ends, 0.0);
   lambda_tilde_cache_ = Vec(config_.num_front_ends, 0.0);
@@ -203,56 +198,13 @@ void DatacenterAgent::process_proposals(Transport& bus, int iteration) {
   if (!stale_ok) UFC_EXPECTS(received == m);
   for (std::size_t i = 0; i < m; ++i)
     if (last_proposal_round_[i] < iteration) ++stale_proposals_;
-  const Vec& lambda_tilde = lambda_tilde_cache_;
-  const Vec& varphi = varphi_cache_;
 
-  const auto& protocol = config_.protocol;
-  const double rho = protocol.rho;
-  const double a_col_sum_k = sum(a_);
-
-  // Procedure 2: mu block (uses a^k, nu^k, phi^k).
-  double mu_tilde = 0.0;
-  if (!protocol.pin_mu) {
-    admm::MuBlockInputs in;
-    in.alpha = config_.alpha_mw;
-    in.beta = config_.beta_mw;
-    in.a_col_sum = a_col_sum_k;
-    in.nu = nu_;
-    in.phi = phi_;
-    in.rho = rho;
-    in.fuel_cell_price = config_.fuel_cell_price;
-    in.mu_max = config_.fuel_cell_capacity_mw;
-    mu_tilde = admm::solve_mu_block(in);
-  }
-
-  // Procedure 3: nu block (uses a^k, mu~, phi^k).
-  double nu_tilde = 0.0;
-  if (!protocol.pin_nu) {
-    admm::NuBlockInputs in;
-    in.alpha = config_.alpha_mw;
-    in.beta = config_.beta_mw;
-    in.a_col_sum = a_col_sum_k;
-    in.mu = mu_tilde;
-    in.phi = phi_;
-    in.rho = rho;
-    in.grid_price = config_.grid_price;
-    in.carbon_tons_per_mwh = config_.carbon_tons_per_mwh;
-    in.emission_cost = config_.emission_cost.get();
-    nu_tilde = admm::solve_nu_block(in);
-  }
-
-  // Procedure 4: a block (uses lambda~, mu~, nu~, phi^k, varphi^k).
-  admm::ABlockInputs a_in;
-  a_in.alpha = config_.alpha_mw;
-  a_in.beta = config_.beta_mw;
-  a_in.mu = mu_tilde;
-  a_in.nu = nu_tilde;
-  a_in.phi = phi_;
-  a_in.varphi_col = varphi;
-  a_in.lambda_col = lambda_tilde;
-  a_in.rho = rho;
-  a_in.capacity = config_.capacity_servers;
-  admm::solve_a_block_into(a_in, a_.span(), a_tilde_.span(), blocks_);
+  // Procedures 2-5: the mu, nu and a blocks and the phi prediction — the
+  // arithmetic AdmgSolver's datacenter pass runs on its column j.
+  const admm::StepRule& rule = config_.protocol.rule;
+  const admm::DatacenterPrediction predicted = admm::predict_datacenter(
+      config_.data, rule, a_.span(), nu_, phi_, lambda_tilde_cache_.span(),
+      varphi_cache_.span(), a_tilde_.span(), blocks_);
 
   // Reply the assignments (procedure 4's second half).
   for (std::size_t i = 0; i < m; ++i) {
@@ -265,23 +217,12 @@ void DatacenterAgent::process_proposals(Transport& bus, int iteration) {
     bus.send(std::move(msg));
   }
 
-  // Procedure 5: local dual update.
-  const double phi_tilde =
-      admm::update_phi(phi_, rho, config_.alpha_mw, config_.beta_mw,
-                       sum(a_tilde_), mu_tilde, nu_tilde);
-
-  // Correction step via the shared GBS helpers (admm/engine.cpp), backward
-  // order — the same arithmetic the in-process executor runs on this column.
-  const bool gbs = protocol.gaussian_back_substitution;
-  const double eps = gbs ? protocol.epsilon : 1.0;
-  const admm::ABlockCorrection corr =
-      admm::correct_a_block(a_.span(), a_tilde_.span(), eps, gbs);
-  admm::correct_sources(phi_, nu_, mu_, phi_tilde, nu_tilde, mu_tilde,
-                        config_.beta_mw, corr.delta_sum, eps, gbs,
-                        protocol.pin_mu, protocol.pin_nu);
-
-  last_balance_residual_ = std::abs(config_.alpha_mw +
-                                    config_.beta_mw * sum(a_) - mu_ - nu_);
+  // The correction, backward order. varphi is the front-ends' dual: each
+  // FrontEndAgent corrects its own row.
+  admm::correct_datacenter(config_.data, rule, predicted, a_tilde_.span(),
+                           a_.span(), mu_, nu_, phi_);
+  last_balance_residual_ = std::abs(
+      config_.data.alpha_mw + config_.data.beta_mw * sum(a_) - mu_ - nu_);
 
   Message report;
   report.source = id();

@@ -4,9 +4,11 @@
 // front-end i never sees prices, capacities or other front-ends' duals; a
 // datacenter j never sees the utility function or arrivals — and all
 // coupling flows through RoutingProposal / RoutingAssignment messages on the
-// bus. The numerical block solvers are shared with the monolithic solver
-// (admm/blocks.hpp), so both produce bit-identical iterates; tests assert
-// this.
+// bus. The arithmetic is the in-process solver's: a datacenter runs
+// admm::predict_datacenter / correct_datacenter, a front-end the shared
+// lambda block and GBS helpers, all under the admm::StepRule AdmgSolver
+// uses (admm/engine.hpp). Both drivers therefore produce bit-identical
+// iterates; tests assert this.
 #pragma once
 
 #include <cstddef>
@@ -15,24 +17,21 @@
 #include <span>
 #include <vector>
 
-#include "admm/blocks.hpp"
+#include "admm/engine.hpp"
 #include "net/transport.hpp"
 
 namespace ufc::net {
 
-/// Correction mode shared by both agent kinds.
+/// Step rule and staleness mode shared by both agent kinds.
 struct ProtocolConfig {
-  double rho = 0.3;
-  double epsilon = 1.0;
-  bool gaussian_back_substitution = true;
-  bool pin_mu = false;  ///< Grid strategy.
-  bool pin_nu = false;  ///< FuelCell strategy.
+  /// rho, epsilon, GBS and pinning; the runtime takes it from
+  /// admm::step_rule, as AdmgSolver does.
+  admm::StepRule rule;
   /// Degraded mode: a round may proceed on the last value received from a
-  /// peer instead of requiring a fresh message every iteration (the
-  /// generalization of admm/async.hpp's participation model to message
-  /// loss, delay and crashes). false = strict lockstep: every expected
-  /// message must arrive with the current iteration number, anything else
-  /// is a contract violation.
+  /// peer instead of requiring a fresh message every iteration (tolerating
+  /// message loss, delay and crashes). false = strict lockstep: every
+  /// expected message must arrive with the current iteration number,
+  /// anything else is a contract violation.
   bool allow_stale = false;
 };
 
@@ -116,13 +115,9 @@ class FrontEndAgent {
 struct DatacenterLocalConfig {
   std::size_t index = 0;
   std::size_t num_front_ends = 0;  ///< M (to size local vectors).
-  double alpha_mw = 0.0;
-  double beta_mw = 0.0;
-  double capacity_servers = 0.0;   ///< S_j.
-  double fuel_cell_capacity_mw = 0.0;
-  double fuel_cell_price = 0.0;    ///< p_0.
-  double grid_price = 0.0;         ///< p_j.
-  double carbon_tons_per_mwh = 0.0;  ///< kappa_j.
+  /// alpha_j, beta_j, S_j, mu_j^max, p_0, p_j and kappa_j. The agent points
+  /// data.emission_cost at the cost function below, which it keeps alive.
+  admm::DatacenterData data;
   std::shared_ptr<const EmissionCostFunction> emission_cost;
   ProtocolConfig protocol;
 };
@@ -131,11 +126,12 @@ class DatacenterAgent {
  public:
   explicit DatacenterAgent(DatacenterLocalConfig config);
 
-  /// Procedures 2-5 + correction: consume this iteration's proposals,
-  /// solve the mu, nu and a blocks, reply a~_ij to every front-end, update
-  /// the local dual phi_j, apply the back-substitution corrections, and
-  /// report the local balance residual to the coordinator. Runs on any
-  /// Transport — in-process bus or socket-backed — unchanged.
+  /// Procedures 2-5 + correction: consume this iteration's proposals, run
+  /// admm::predict_datacenter (the mu, nu and a blocks and the phi_j
+  /// prediction), reply a~_ij to every front-end, run
+  /// admm::correct_datacenter, and report the local balance residual to the
+  /// coordinator. Runs on any Transport — in-process bus or socket-backed —
+  /// unchanged.
   void process_proposals(Transport& bus, int iteration);
 
   NodeId id() const { return datacenter_id(config_.index); }

@@ -32,12 +32,6 @@ void remove_datacenter_from_problem(UfcProblem& problem, std::size_t pos) {
   problem.latency_s = std::move(reduced);
 }
 
-bool all_finite(std::span<const double> values) {
-  for (double v : values)
-    if (!std::isfinite(v)) return false;
-  return true;
-}
-
 }  // namespace
 
 DistributedAdmgRuntime::DistributedAdmgRuntime(const UfcProblem& problem,
@@ -48,8 +42,6 @@ DistributedAdmgRuntime::DistributedAdmgRuntime(const UfcProblem& problem,
                      .max_attempts = options_.max_attempts,
                      .faults = options_.faults}) {
   original_.validate();
-  const auto& admg = options_.admg;
-  UFC_EXPECTS(admg.rho > 0.0);
   UFC_EXPECTS(options_.dead_after_rounds >= 1);
   // Strict lockstep assumes every message arrives within its round; only a
   // delivery-preserving plan on the unbounded-retransmit transport promises
@@ -73,23 +65,19 @@ DistributedAdmgRuntime::DistributedAdmgRuntime(const UfcProblem& problem,
   const auto& rf = options_.faults.random();
   stale_bound_ = 1 + (rf.delay_rate > 0.0 ? rf.max_delay_rounds : 0);
 
-  // Same workload normalization as AdmgSolver so iterates are bit-identical.
-  sigma_ = admg.workload_scale > 0.0 ? admg.workload_scale
-                                     : admm::natural_workload_scale(original_);
+  // The workload normalization, the option checks and step rule, and the
+  // residual scales come from the functions AdmgSolver calls, so the two
+  // drivers accept the same options and produce bit-identical iterates.
+  sigma_ = admm::workload_scale_for(original_, options_.admg);
   problem_ = admm::scale_workload_units(original_, sigma_);
-
-  protocol_.rho = admg.rho;
-  protocol_.epsilon = admg.epsilon;
-  protocol_.gaussian_back_substitution = admg.gaussian_back_substitution;
-  protocol_.pin_mu = admg.pinning == admm::BlockPinning::PinMu;
-  protocol_.pin_nu = admg.pinning == admm::BlockPinning::PinNu;
-  protocol_.allow_stale = options_.degraded;
+  protocol_ = {.rule = admm::step_rule(problem_, options_.admg),
+               .allow_stale = options_.degraded};
+  scales_ = admm::residual_scales(problem_);
 
   active_dcs_.resize(problem_.num_datacenters());
   for (std::size_t j = 0; j < active_dcs_.size(); ++j) active_dcs_[j] = j;
 
   build_agents();
-  update_residual_scales();
 }
 
 void DistributedAdmgRuntime::build_agents() {
@@ -119,32 +107,13 @@ void DistributedAdmgRuntime::build_agents() {
   datacenters_.clear();
   datacenters_.reserve(n);
   for (std::size_t j = 0; j < n; ++j) {
-    const auto& dc = problem_.datacenters[j];
-    DatacenterLocalConfig cfg;
-    cfg.index = active_dcs_[j];  // keeps the original bus id after removals
-    cfg.num_front_ends = m;
-    cfg.alpha_mw = problem_.alpha_mw(j);
-    cfg.beta_mw = problem_.beta_mw(j);
-    cfg.capacity_servers = dc.servers;
-    cfg.fuel_cell_capacity_mw = dc.fuel_cell_capacity_mw;
-    cfg.fuel_cell_price = problem_.fuel_cell_price;
-    cfg.grid_price = dc.grid_price;
-    cfg.carbon_tons_per_mwh = dc.carbon_rate / 1000.0;
-    cfg.emission_cost = dc.emission_cost;
-    cfg.protocol = protocol_;
-    datacenters_.emplace_back(std::move(cfg));
+    datacenters_.emplace_back(DatacenterLocalConfig{
+        .index = active_dcs_[j],  // keeps the original bus id after removals
+        .num_front_ends = m,
+        .data = admm::datacenter_data(problem_, j),
+        .emission_cost = problem_.datacenters[j].emission_cost,
+        .protocol = protocol_});
   }
-}
-
-void DistributedAdmgRuntime::update_residual_scales() {
-  double max_arrival = 1.0;
-  for (double a : problem_.arrivals) max_arrival = std::max(max_arrival, a);
-  copy_scale_ = max_arrival;
-  double max_demand = 1.0;
-  for (std::size_t j = 0; j < problem_.num_datacenters(); ++j)
-    max_demand = std::max(
-        max_demand, problem_.demand_mw(j, problem_.datacenters[j].servers));
-  balance_scale_ = max_demand;
 }
 
 bool DistributedAdmgRuntime::is_remote(std::size_t pos) const {
@@ -326,7 +295,7 @@ bool DistributedAdmgRuntime::remove_datacenter(std::size_t pos) {
   // In-flight traffic addressed the old topology; flush it. The degraded
   // protocol treats the flushed messages as lost.
   transport_->clear_queues();
-  update_residual_scales();
+  scales_ = admm::residual_scales(problem_);
   return true;
 }
 
@@ -393,9 +362,11 @@ std::uint64_t DistributedAdmgRuntime::stale_inputs() const {
 }
 
 // The message-passing BlockExecutor: one engine step = one protocol round,
-// plus the degraded-mode membership hook. Residuals, freshness and scales
-// come from the agents' own reports, so the engine gates convergence on
-// exactly the quantities the coordinator can observe.
+// plus the degraded-mode membership hook. The residuals come from the
+// agents' reports and the freshness gate from their input rounds; the
+// scales are the runtime's own. last_change is not reported: step() reads
+// it from the agents' state, diffing the assembled a, mu and nu across the
+// round.
 class BusExecutor final : public admm::BlockExecutor {
  public:
   explicit BusExecutor(DistributedAdmgRuntime& runtime) : runtime_(runtime) {}
@@ -442,8 +413,8 @@ class BusExecutor final : public admm::BlockExecutor {
   }
   double copy_residual() const override { return runtime_.copy_residual(); }
   double last_change() const override { return change_; }
-  double balance_scale() const override { return runtime_.balance_scale_; }
-  double copy_scale() const override { return runtime_.copy_scale_; }
+  double balance_scale() const override { return runtime_.scales_.balance; }
+  double copy_scale() const override { return runtime_.scales_.copy; }
   double objective() const override {
     return ufc_objective(runtime_.problem_, runtime_.lambda(), runtime_.mu());
   }

@@ -11,9 +11,8 @@
 //    (legacy reliable transport) and rounds are bit-identical to
 //    AdmgSolver::step(). Requires a delivery-preserving fault plan.
 //  * Degraded (options.degraded): rounds proceed on the latest value
-//    received from each peer — the generalization of admm/async.hpp's
-//    stale-bounded participation model to message loss, delay, partitions
-//    and crashes. The coordinator declares a datacenter dead after
+//    received from each peer, under message loss, delay, partitions and
+//    crashes. The coordinator declares a datacenter dead after
 //    dead_after_rounds silent rounds and gracefully degrades: the dead
 //    datacenter's capacity is removed and the surviving agents warm-restart
 //    on the reduced problem. A solver watchdog (shared with AdmgSolver)
@@ -160,7 +159,6 @@ class DistributedAdmgRuntime {
   /// degraded-mode membership hooks on the engine's behalf.
   friend class BusExecutor;
 
-  void update_residual_scales();
   /// (Re)creates all agents for the current problem_/active_dcs_, with
   /// cold-start state.
   void build_agents();
@@ -209,16 +207,14 @@ class DistributedAdmgRuntime {
   std::map<NodeId, int> remote_synced_;
   /// Degraded-mode convergence gate: a round may declare convergence only
   /// when every agent input is at most this many rounds old — the bounded
-  /// input-age criterion, the message-level analog of admm/async.hpp's
-  /// stale-bounded participation model (docs/ROBUSTNESS.md). It is
-  /// 1 + max_delay_rounds when random delay is active, else 1: the envelope
-  /// eventual delivery keeps every age inside. Silence from a crashed or
-  /// partitioned peer grows the age without bound and keeps blocking
-  /// convergence until the health tracker or the watchdog acts.
+  /// input-age criterion (docs/ROBUSTNESS.md). It is 1 + max_delay_rounds
+  /// when random delay is active, else 1: the envelope eventual delivery
+  /// keeps every age inside. Silence from a crashed or partitioned peer
+  /// grows the age without bound and keeps blocking convergence until the
+  /// health tracker or the watchdog acts.
   int stale_bound_ = 1;
   int next_round_ = 0;
-  double balance_scale_ = 1.0;
-  double copy_scale_ = 1.0;
+  admm::ResidualScales scales_;  ///< Recomputed after every removal.
 };
 
 }  // namespace ufc::net

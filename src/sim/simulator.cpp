@@ -58,18 +58,9 @@ double WeekResult::average_utilization() const {
   return mean(xs);
 }
 
-std::vector<double> WeekResult::ufc_series() const {
-  return series(slots, [](const SlotResult& s) { return s.breakdown.ufc; });
-}
-
 std::vector<double> WeekResult::energy_cost_series() const {
   return series(slots,
                 [](const SlotResult& s) { return s.breakdown.energy_cost; });
-}
-
-std::vector<double> WeekResult::carbon_cost_series() const {
-  return series(slots,
-                [](const SlotResult& s) { return s.breakdown.carbon_cost; });
 }
 
 std::vector<double> WeekResult::latency_ms_series() const {

@@ -34,9 +34,7 @@ struct WeekResult {
   double average_latency_ms() const;   ///< Mean of per-slot averages.
   double average_utilization() const;  ///< Mean fuel-cell utilization.
 
-  std::vector<double> ufc_series() const;
   std::vector<double> energy_cost_series() const;
-  std::vector<double> carbon_cost_series() const;
   std::vector<double> latency_ms_series() const;
   std::vector<double> utilization_series() const;
   std::vector<double> iteration_series() const;

@@ -120,14 +120,14 @@ TEST(ProblemUpdateTest, CommitsSparseEntriesWithNormalization) {
 // projected the warm dispatch back into the box.
 TEST(ProblemUpdateTest, ClampProjectsMuToCapacityAndNuToZero) {
   const UfcProblem problem = make_tiny_problem();
-  InProcessExecutor exec(problem, AdmgOptions{});
+  AdmgSolver solver(problem, AdmgOptions{});
   const std::size_t m = problem.num_front_ends();
   const std::size_t n = problem.num_datacenters();
   const std::size_t mn = m * n;
-  ASSERT_EQ(exec.iterate_size(), 3 * mn + 3 * n);
+  ASSERT_EQ(solver.iterate_size(), 3 * mn + 3 * n);
 
   // Stacking: lambda (mn), a (mn), varphi (mn), mu (n), nu (n), phi (n).
-  std::vector<double> flat(exec.iterate_size(), 0.0);
+  std::vector<double> flat(solver.iterate_size(), 0.0);
   flat[0] = -2.0;                     // lambda: clamped to 0.
   flat[mn] = -3.0;                    // a: clamped to 0.
   flat[2 * mn] = -4.0;                // varphi: dual, untouched.
@@ -136,7 +136,7 @@ TEST(ProblemUpdateTest, ClampProjectsMuToCapacityAndNuToZero) {
   flat[3 * mn + n + 0] = -5.0;        // nu_0 negative grid draw.
   flat[3 * mn + n + 1] = 75.0;        // nu_1: large but legal grid draw.
   flat[3 * mn + 2 * n] = -6.0;        // phi: dual, untouched.
-  exec.clamp_iterate(flat);
+  solver.clamp_iterate(flat);
 
   EXPECT_EQ(flat[0], 0.0);
   EXPECT_EQ(flat[mn], 0.0);

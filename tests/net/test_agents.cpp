@@ -16,6 +16,7 @@ FrontEndLocalConfig make_fe_config() {
   cfg.latency_row_s = Vec{0.01, 0.03};
   cfg.latency_weight = 10.0;
   cfg.utility = std::make_shared<QuadraticUtility>();
+  cfg.protocol.rule.rho = 0.3;
   return cfg;
 }
 
@@ -23,14 +24,15 @@ DatacenterLocalConfig make_dc_config(std::size_t index = 0) {
   DatacenterLocalConfig cfg;
   cfg.index = index;
   cfg.num_front_ends = 1;
-  cfg.alpha_mw = 0.12;
-  cfg.beta_mw = 1.2e-4;
-  cfg.capacity_servers = 2.0;
-  cfg.fuel_cell_capacity_mw = 0.5;
-  cfg.fuel_cell_price = 80.0;
-  cfg.grid_price = 40.0;
-  cfg.carbon_tons_per_mwh = 0.5;
+  cfg.data = {.alpha_mw = 0.12,
+              .beta_mw = 1.2e-4,
+              .capacity_servers = 2.0,
+              .fuel_cell_capacity_mw = 0.5,
+              .fuel_cell_price = 80.0,
+              .grid_price = 40.0,
+              .carbon_tons_per_mwh = 0.5};
   cfg.emission_cost = std::make_shared<AffineCarbonTax>(25.0);
+  cfg.protocol.rule.rho = 0.3;
   return cfg;
 }
 
@@ -130,8 +132,8 @@ TEST(DatacenterAgent, MissingProposalThrows) {
 
 TEST(DatacenterAgent, ConflictingPinningThrows) {
   auto cfg = make_dc_config();
-  cfg.protocol.pin_mu = true;
-  cfg.protocol.pin_nu = true;
+  cfg.protocol.rule.pin_mu = true;
+  cfg.protocol.rule.pin_nu = true;
   EXPECT_THROW(DatacenterAgent{cfg}, ContractViolation);
 }
 

@@ -2,9 +2,12 @@
 // same iterates, same convergence, only message-passing in between.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "admm/admg.hpp"
 #include "helpers.hpp"
 #include "net/runtime.hpp"
+#include "util/contract.hpp"
 
 namespace ufc::net {
 namespace {
@@ -104,6 +107,56 @@ TEST(DistributedRuntime, StrategyPinningWorksOverTheWire) {
     const auto report = DistributedAdmgRuntime(problem, dist).run();
     EXPECT_TRUE(report.converged);
     for (double nu : report.solution.nu) EXPECT_NEAR(nu, 0.0, 2e-4);
+  }
+}
+
+void build_solver(const UfcProblem& problem, const admm::AdmgOptions& options) {
+  admm::AdmgSolver solver(problem, options);
+}
+
+void build_runtime(const UfcProblem& problem,
+                   const admm::AdmgOptions& options) {
+  DistributedOptions dist;
+  dist.admg = options;
+  DistributedAdmgRuntime runtime(problem, dist);
+}
+
+// Both drivers validate their options with admm::step_rule, so an option
+// set one of them rejects never runs on the other.
+TEST(DistributedRuntime, RejectsTheOptionsAdmgSolverRejects) {
+  const auto problem = make_tiny_problem();
+  admm::AdmgOptions pin_nu;
+  pin_nu.pinning = admm::BlockPinning::PinNu;
+  // The tiny problem's fuel cells carry its peak demand, so only the cut
+  // below makes the FuelCell case invalid.
+  ASSERT_NO_THROW(build_solver(problem, pin_nu));
+  ASSERT_NO_THROW(build_runtime(problem, pin_nu));
+  auto weak_cells = problem;
+  for (auto& dc : weak_cells.datacenters) dc.fuel_cell_capacity_mw *= 0.1;
+
+  struct Case {
+    const char* name;
+    const UfcProblem* problem;
+    admm::AdmgOptions options;
+  };
+  std::vector<Case> cases;
+  const auto with = [&](const char* name, auto edit) {
+    admm::AdmgOptions options;
+    edit(options);
+    cases.push_back({name, &problem, options});
+  };
+  with("epsilon = 0.3", [](admm::AdmgOptions& o) { o.epsilon = 0.3; });
+  with("epsilon = 1.5", [](admm::AdmgOptions& o) { o.epsilon = 1.5; });
+  with("threads = -3", [](admm::AdmgOptions& o) { o.threads = -3; });
+  with("tolerance = 0", [](admm::AdmgOptions& o) { o.tolerance = 0.0; });
+  with("max_iterations = 0",
+       [](admm::AdmgOptions& o) { o.max_iterations = 0; });
+  cases.push_back({"PinNu, fuel cells at 10%", &weak_cells, pin_nu});
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_THROW(build_solver(*c.problem, c.options), ContractViolation);
+    EXPECT_THROW(build_runtime(*c.problem, c.options), ContractViolation);
   }
 }
 

@@ -71,8 +71,14 @@ TEST(WeekResult, AggregatesMatchSeries) {
   const auto week =
       run_strategy_week(scenario, admm::Strategy::Grid, fast_options());
   EXPECT_NEAR(week.total_energy_cost(), sum(week.energy_cost_series()), 1e-9);
-  EXPECT_NEAR(week.total_carbon_cost(), sum(week.carbon_cost_series()), 1e-9);
-  EXPECT_NEAR(week.total_ufc(), sum(week.ufc_series()), 1e-9);
+  double carbon_cost = 0.0;
+  double ufc = 0.0;
+  for (const auto& slot : week.slots) {
+    carbon_cost += slot.breakdown.carbon_cost;
+    ufc += slot.breakdown.ufc;
+  }
+  EXPECT_NEAR(week.total_carbon_cost(), carbon_cost, 1e-9);
+  EXPECT_NEAR(week.total_ufc(), ufc, 1e-9);
   EXPECT_NEAR(week.average_latency_ms(), mean(week.latency_ms_series()),
               1e-12);
   EXPECT_NEAR(week.average_utilization(), mean(week.utilization_series()),
