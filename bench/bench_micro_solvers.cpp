@@ -170,7 +170,7 @@ void BM_DistributedRound(benchmark::State& state) {
   net::DistributedAdmgRuntime runtime(problem, options);
   int iteration = 0;
   for (auto _ : state) {
-    runtime.round(iteration++);
+    runtime.step(iteration++);
   }
 }
 BENCHMARK(BM_DistributedRound);

@@ -665,15 +665,17 @@ def check_global_state(tree: Tree):
 # finite-iterate-guard, hot-path-live
 # ---------------------------------------------------------------------------
 # The per-iteration hot path: AdmgSolver::step, the datacenter pass it calls,
-# the datacenter procedures that pass shares with net::DatacenterAgent, and
-# the two block solvers the passes call once per row or column. Every Mat/Vec
-# they need lives in workspaces sized once in reset() (or by the agent's
-# constructor) or grown on the first block solve. (The no-argument
-# AdmgSolver::step() is inline in admm/admg.hpp and only forwards to
-# step(int).)
+# the datacenter procedures that pass shares with net::DatacenterAgent, the
+# two block solvers the passes call once per row or column, and the
+# message-passing runtime's round, whose coordinator folds per-datacenter
+# scalars instead of gathering the iterate. Every Mat/Vec they need lives in
+# workspaces sized once in reset() (or by the agent's constructor) or grown
+# on the first block solve. (The no-argument AdmgSolver::step() is inline in
+# admm/admg.hpp and only forwards to step(int).)
 HOT_PATH = ("AdmgSolver::step", "AdmgSolver::run_full_datacenter_pass",
             "predict_datacenter", "correct_datacenter",
-            "solve_lambda_block_into", "solve_a_block_into")
+            "solve_lambda_block_into", "solve_a_block_into",
+            "DistributedAdmgRuntime::step")
 # The iteration loop itself. It is exception-free like the hot path, but
 # not allocation-free: it packages the report once, after the loop.
 ENGINE_LOOP = "AdmgEngine::solve"
@@ -1215,6 +1217,8 @@ HOT_PATH_BLOCKS = ("void solve_lambda_block_into(const LambdaBlockInputs& in) {\
                    "void solve_a_block_into(const ABlockInputs& in) {\n"
                    "  run(in);\n}\n")
 DATACENTER_PASS = "void AdmgSolver::run_full_datacenter_pass() {\n  run();\n}\n"
+HOT_PATH_RUNTIME = ("void DistributedAdmgRuntime::step(int iteration) {\n"
+                    "  exchange(iteration);\n}\n")
 
 # (case, rules checked, {path: text}, one message substring per expected
 # finding of those rules, after suppression)
@@ -1339,6 +1343,13 @@ FIXTURES = [
       "DatacenterPrediction predict_datacenter(std::span<const double> a) {\n"
       "  Vec column(a);\n  return run(column);\n}\n"},
      ["predict_datacenter"]),
+    # The coordinator reads each datacenter's move; a snapshot of the
+    # gathered iterate per round is the allocation the rule keeps out.
+    ("no_alloc_in_runtime_step_flagged", "no-alloc-in-step",
+     {"src/net/runtime.cpp":
+      "void DistributedAdmgRuntime::step(int iteration) {\n"
+      "  const Mat before = a();\n  exchange(iteration);\n}\n"},
+     ["DistributedAdmgRuntime::step"]),
     # no-sort-in-hot-path
     ("no_sort_in_hot_path_admm_flagged", "no-sort-in-hot-path",
      {"src/admm/blocks.cpp":
@@ -1558,11 +1569,13 @@ FIXTURES = [
     ("hot_path_live_every_entry_defined_ok", "hot-path-live",
      {"src/admm/engine.cpp": HOT_PATH_ENGINE,
       "src/admm/admg.cpp": HOT_PATH_SOLVER + DATACENTER_PASS,
-      "src/admm/blocks.cpp": HOT_PATH_BLOCKS}, CLEAN),
+      "src/admm/blocks.cpp": HOT_PATH_BLOCKS,
+      "src/net/runtime.cpp": HOT_PATH_RUNTIME}, CLEAN),
     ("hot_path_live_entry_without_definition_flagged", "hot-path-live",
      {"src/admm/engine.cpp": HOT_PATH_ENGINE,
       "src/admm/admg.cpp": HOT_PATH_SOLVER,
-      "src/admm/blocks.cpp": HOT_PATH_BLOCKS}, ["run_full_datacenter_pass"]),
+      "src/admm/blocks.cpp": HOT_PATH_BLOCKS,
+      "src/net/runtime.cpp": HOT_PATH_RUNTIME}, ["run_full_datacenter_pass"]),
     # expects-reach
     ("expects_guard_missing", "expects-reach",
      {"src/math/p.hpp": "#pragma once\n"

@@ -21,7 +21,8 @@
 //                       AdmgSolver (admg.hpp)          serial / thread-pool
 //                       PartialParticipationExecutor   straggler model
 //                         (async.hpp)
-//                       net::BusExecutor               message passing
+//                       net::DistributedAdmgRuntime    message passing
+//                         (net/runtime.hpp)
 //   IterationObserver structured telemetry (telemetry.hpp).
 //
 // Correctness contract: for zero-fault, serial, participation=1 solves the

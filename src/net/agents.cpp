@@ -9,6 +9,15 @@
 
 namespace ufc::net {
 
+namespace {
+
+/// True iff `value` is a whole number in [lo, hi]; false for NaN.
+bool whole_in(double value, double lo, double hi) {
+  return value >= lo && value <= hi && std::trunc(value) == value;
+}
+
+}  // namespace
+
 // --------------------------------------------------------------------------
 // FrontEndAgent
 
@@ -172,7 +181,7 @@ DatacenterAgent::DatacenterAgent(DatacenterLocalConfig config)
   last_proposal_round_.assign(config_.num_front_ends, -1);
 }
 
-void DatacenterAgent::process_proposals(Transport& bus, int iteration) {
+double DatacenterAgent::process_proposals(Transport& bus, int iteration) {
   const std::size_t m = config_.num_front_ends;
   const bool stale_ok = config_.protocol.allow_stale;
   std::size_t received = 0;
@@ -219,8 +228,9 @@ void DatacenterAgent::process_proposals(Transport& bus, int iteration) {
 
   // The correction, backward order. varphi is the front-ends' dual: each
   // FrontEndAgent corrects its own row.
-  admm::correct_datacenter(config_.data, rule, predicted, a_tilde_.span(),
-                           a_.span(), mu_, nu_, phi_);
+  const double change =
+      admm::correct_datacenter(config_.data, rule, predicted, a_tilde_.span(),
+                               a_.span(), mu_, nu_, phi_);
   last_balance_residual_ = std::abs(
       config_.data.alpha_mw + config_.data.beta_mw * sum(a_) - mu_ - nu_);
 
@@ -231,6 +241,7 @@ void DatacenterAgent::process_proposals(Transport& bus, int iteration) {
   report.iteration = iteration;
   report.payload = {last_balance_residual_};
   bus.send(std::move(report));
+  return change;
 }
 
 std::int32_t DatacenterAgent::oldest_input_round() const {
@@ -293,26 +304,39 @@ Message DatacenterAgent::make_state_sync(int iteration) const {
   return msg;
 }
 
-void DatacenterAgent::sync_remote(const Message& message) {
+double DatacenterAgent::sync_remote(const Message& message) {
   const std::size_t m = config_.num_front_ends;
   UFC_EXPECTS(message.type == MessageType::StateSync);
   UFC_EXPECTS(message.source == id());
   UFC_EXPECTS(message.payload.size() == 6 + 3 * m);
-  mu_ = message.payload[0];
-  nu_ = message.payload[1];
-  phi_ = message.payload[2];
-  last_balance_residual_ = message.payload[3];
   // The remote tracks per-front-end input ages; the shadow only needs the
   // aggregate the coordinator reads (oldest round for the convergence bound,
-  // stale count for the report).
-  const auto oldest = static_cast<std::int32_t>(message.payload[4]);
-  std::fill(last_proposal_round_.begin(), last_proposal_round_.end(), oldest);
-  stale_proposals_ = static_cast<std::uint64_t>(message.payload[5]);
+  // stale count for the report). Both arrive as doubles from another
+  // process: an out-of-range cast is undefined behaviour, so check them
+  // before adopting anything.
+  const double oldest = message.payload[4];
+  const double stale = message.payload[5];
+  UFC_EXPECTS(whole_in(oldest, -1.0, static_cast<double>(message.iteration)));
+  UFC_EXPECTS(whole_in(stale, 0.0, 0x1p53));
+  // The largest |new - old| of a, mu and nu, folded like max_abs_diff.
+  double change = 0.0;
+  const auto adopt = [&change](double& value, double incoming) {
+    change = std::max(change, std::abs(incoming - value));
+    value = incoming;
+  };
+  adopt(mu_, message.payload[0]);
+  adopt(nu_, message.payload[1]);
+  phi_ = message.payload[2];
+  last_balance_residual_ = message.payload[3];
+  std::fill(last_proposal_round_.begin(), last_proposal_round_.end(),
+            static_cast<std::int32_t>(oldest));
+  stale_proposals_ = static_cast<std::uint64_t>(stale);
   for (std::size_t i = 0; i < m; ++i) {
-    a_[i] = message.payload[6 + i];
+    adopt(a_[i], message.payload[6 + i]);
     lambda_tilde_cache_[i] = message.payload[6 + m + i];
     varphi_cache_[i] = message.payload[6 + 2 * m + i];
   }
+  return change;
 }
 
 void DatacenterAgent::load_iterate(std::span<const double> a_col,

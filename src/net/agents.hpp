@@ -130,9 +130,11 @@ class DatacenterAgent {
   /// admm::predict_datacenter (the mu, nu and a blocks and the phi_j
   /// prediction), reply a~_ij to every front-end, run
   /// admm::correct_datacenter, and report the local balance residual to the
-  /// coordinator. Runs on any Transport — in-process bus or socket-backed —
-  /// unchanged.
-  void process_proposals(Transport& bus, int iteration);
+  /// coordinator. Returns the largest move of this datacenter's a, mu and nu
+  /// (correct_datacenter's result), which the coordinator folds into the
+  /// round's change. Runs on any Transport — in-process bus or
+  /// socket-backed — unchanged.
+  double process_proposals(Transport& bus, int iteration);
 
   NodeId id() const { return datacenter_id(config_.index); }
   double mu() const { return mu_; }
@@ -164,9 +166,13 @@ class DatacenterAgent {
   Message make_state_sync(int iteration) const;
   /// Applies a StateSync produced by make_state_sync() in another process:
   /// adopts the remote iterate bit-for-bit and ages every proposal slot to
-  /// the remote's reported oldest input round (shape-checked; malformed
-  /// messages throw ufc::ContractViolation).
-  void sync_remote(const Message& message);
+  /// the remote's reported oldest input round. Returns the largest
+  /// |new - old| over the a, mu and nu values the shadow adopted. Malformed
+  /// messages throw ufc::ContractViolation before anything is adopted: a
+  /// wrong shape, an oldest input round that is not a whole number in
+  /// [-1, message.iteration], or a stale count that is not a whole number
+  /// in [0, 2^53].
+  double sync_remote(const Message& message);
 
  private:
   DatacenterLocalConfig config_;

@@ -54,7 +54,6 @@ class MessageBus final : public Transport {
   /// send order) into its destination queue. Scripted fault windows are
   /// evaluated against this clock.
   void begin_round(int round) override;
-  int current_round() const override { return round_; }
 
   /// Sends under the configured transport. Every attempt is counted in
   /// bytes; drops are counted as retransmissions. See SendOutcome.

@@ -48,18 +48,7 @@ DistributedAdmgRuntime::DistributedAdmgRuntime(const UfcProblem& problem,
   // that. Every other fault environment needs the degraded protocol.
   UFC_EXPECTS(options_.degraded || (options_.faults.delivery_preserving() &&
                                     options_.max_attempts == 0));
-  transport_ = options_.remote.socket != nullptr
-                   ? static_cast<Transport*>(options_.remote.socket)
-                   : &bus_;
-  if (options_.remote.socket != nullptr) {
-    UFC_EXPECTS(options_.remote.round_deadline_ms >= 0);
-    // Remote hosting rides the real network: scripted/random bus faults
-    // would be simulated on top of genuine ones, and remote datacenter
-    // crashes arrive as EOFs, not FaultPlan windows.
-    UFC_EXPECTS(options_.faults.delivery_preserving());
-    for (std::size_t original : options_.remote.remote_dcs)
-      UFC_EXPECTS(original < problem.num_datacenters());
-  }
+  transport_ = &bus_;
   // Eventual delivery (loss with retries, bounded delay) keeps input ages
   // bounded; the gate admits exactly that envelope.
   const auto& rf = options_.faults.random();
@@ -78,6 +67,21 @@ DistributedAdmgRuntime::DistributedAdmgRuntime(const UfcProblem& problem,
   for (std::size_t j = 0; j < active_dcs_.size(); ++j) active_dcs_[j] = j;
 
   build_agents();
+}
+
+DistributedAdmgRuntime::DistributedAdmgRuntime(const UfcProblem& problem,
+                                               DistributedOptions options,
+                                               SocketBus& hub,
+                                               int round_deadline_ms)
+    : DistributedAdmgRuntime(problem, std::move(options)) {
+  UFC_EXPECTS(round_deadline_ms >= 0);
+  // The fleet rides the real network: scripted/random bus faults would be
+  // simulated on top of genuine ones, and remote datacenter crashes arrive
+  // as EOFs, not FaultPlan windows.
+  UFC_EXPECTS(options_.faults.delivery_preserving());
+  transport_ = &hub;
+  socket_ = &hub;
+  round_deadline_ms_ = round_deadline_ms;
 }
 
 void DistributedAdmgRuntime::build_agents() {
@@ -116,21 +120,15 @@ void DistributedAdmgRuntime::build_agents() {
   }
 }
 
-bool DistributedAdmgRuntime::is_remote(std::size_t pos) const {
-  if (options_.remote.socket == nullptr) return false;
-  const auto& remote = options_.remote.remote_dcs;
-  return std::find(remote.begin(), remote.end(), active_dcs_[pos]) !=
-         remote.end();
-}
-
 void DistributedAdmgRuntime::absorb_coordinator_message(const Message& message,
                                                         int iteration) {
   // Receipt of any report this round proves the sender was recently alive.
   if (message.type == MessageType::StateSync) {
-    for (std::size_t j = 0; j < datacenters_.size(); ++j) {
-      if (datacenters_[j].id() != message.source) continue;
-      UFC_EXPECTS(is_remote(j));
-      datacenters_[j].sync_remote(message);
+    // Only fleet workers sync their datacenters' state.
+    UFC_EXPECTS(socket_ != nullptr);
+    for (auto& dc : datacenters_) {
+      if (dc.id() != message.source) continue;
+      change_ = std::max(change_, dc.sync_remote(message));
       last_seen_[message.source] = iteration;
       auto& synced = remote_synced_[message.source];
       synced = std::max(synced, static_cast<int>(message.iteration));
@@ -143,13 +141,11 @@ void DistributedAdmgRuntime::absorb_coordinator_message(const Message& message,
 }
 
 void DistributedAdmgRuntime::pump_remote(int iteration) {
-  SocketBus* socket = options_.remote.socket;
-  const IoDeadline deadline(options_.remote.round_deadline_ms);
+  const IoDeadline deadline(round_deadline_ms_);
   const auto outstanding = [&]() {
     std::size_t count = 0;
-    for (std::size_t j = 0; j < datacenters_.size(); ++j) {
-      if (!is_remote(j)) continue;
-      const NodeId node = datacenters_[j].id();
+    for (const auto& dc : datacenters_) {
+      const NodeId node = dc.id();
       if (eof_nodes_.count(node) > 0) continue;  // Dead stream: don't wait.
       const auto it = remote_synced_.find(node);
       if (it == remote_synced_.end() || it->second < iteration) ++count;
@@ -157,31 +153,35 @@ void DistributedAdmgRuntime::pump_remote(int iteration) {
     return count;
   };
   while (outstanding() > 0) {
-    socket->pump(deadline.remaining_ms());
-    for (auto& msg : socket->drain(kCoordinatorId))
+    socket_->pump(deadline.remaining_ms());
+    for (auto& msg : socket_->drain(kCoordinatorId))
       absorb_coordinator_message(msg, iteration);
-    for (NodeId node : socket->take_newly_disconnected())
+    for (NodeId node : socket_->take_newly_disconnected())
       eof_nodes_.insert(node);
     if (deadline.expired()) break;
   }
 }
 
-void DistributedAdmgRuntime::round(int iteration) {
+void DistributedAdmgRuntime::step(int iteration) {
   transport_->begin_round(iteration);
+  // The round's change is the largest move any datacenter reports: its own
+  // correction's, or (in a fleet) its shadow's StateSync adoption.
+  change_ = 0.0;
   const auto& faults = bus_.config().faults;
   for (auto& fe : front_ends_)
     if (!faults.node_down(fe.id(), iteration))
       fe.send_proposals(*transport_, iteration);
-  for (std::size_t j = 0; j < datacenters_.size(); ++j) {
-    if (is_remote(j)) continue;  // Executed by its worker process.
-    auto& dc = datacenters_[j];
-    if (!faults.node_down(dc.id(), iteration))
-      dc.process_proposals(*transport_, iteration);
+  if (socket_ == nullptr) {
+    for (auto& dc : datacenters_)
+      if (!faults.node_down(dc.id(), iteration))
+        change_ =
+            std::max(change_, dc.process_proposals(*transport_, iteration));
+  } else {
+    // The datacenters run concurrently in their worker processes; wait
+    // (deadline-bounded) for their assignments + StateSync before the
+    // front-ends consume assignments.
+    pump_remote(iteration);
   }
-  // Remote datacenters run concurrently in their worker processes; wait
-  // (deadline-bounded) for their assignments + StateSync before the
-  // front-ends consume assignments.
-  if (options_.remote.socket != nullptr) pump_remote(iteration);
   for (auto& fe : front_ends_)
     if (!faults.node_down(fe.id(), iteration))
       fe.process_assignments(*transport_, iteration);
@@ -189,6 +189,12 @@ void DistributedAdmgRuntime::round(int iteration) {
   // on the agents for tests) and keeps its health table.
   for (auto& msg : transport_->drain(kCoordinatorId))
     absorb_coordinator_message(msg, iteration);
+  next_round_ = iteration + 1;
+  topology_changed_ = options_.degraded && remove_dead(iteration);
+  // A removal compacts the iterate onto the reduced problem, so the moves
+  // above address the old topology; the engine skips this round's
+  // convergence test anyway.
+  if (topology_changed_) change_ = 0.0;
 }
 
 bool DistributedAdmgRuntime::remove_dead(int round) {
@@ -299,14 +305,14 @@ bool DistributedAdmgRuntime::remove_datacenter(std::size_t pos) {
   return true;
 }
 
-Mat DistributedAdmgRuntime::lambda() const {
+Mat DistributedAdmgRuntime::gather_lambda() const {
   Mat out(front_ends_.size(), datacenters_.size());
   for (std::size_t i = 0; i < front_ends_.size(); ++i)
     out.set_row(i, front_ends_[i].lambda());
   return out;
 }
 
-Vec DistributedAdmgRuntime::mu() const {
+Vec DistributedAdmgRuntime::gather_mu() const {
   Vec out(datacenters_.size());
   for (std::size_t j = 0; j < datacenters_.size(); ++j)
     out[j] = datacenters_[j].mu();
@@ -361,86 +367,33 @@ std::uint64_t DistributedAdmgRuntime::stale_inputs() const {
   return total;
 }
 
-// The message-passing BlockExecutor: one engine step = one protocol round,
-// plus the degraded-mode membership hook. The residuals come from the
-// agents' reports and the freshness gate from their input rounds; the
-// scales are the runtime's own. last_change is not reported: step() reads
-// it from the agents' state, diffing the assembled a, mu and nu across the
-// round.
-class BusExecutor final : public admm::BlockExecutor {
- public:
-  explicit BusExecutor(DistributedAdmgRuntime& runtime) : runtime_(runtime) {}
+// Under eventual delivery (loss, bounded delay) input ages stay within
+// stale_bound_, so persistent random faults cannot starve convergence; a
+// silent (crashed or partitioned) peer grows the age without bound and
+// keeps blocking it until the health tracker removes the node or the
+// watchdog trips.
+bool DistributedAdmgRuntime::inputs_fresh(int iteration) const {
+  UFC_EXPECTS(iteration >= 0);
+  std::int32_t oldest = static_cast<std::int32_t>(iteration);
+  for (const auto& fe : front_ends_)
+    oldest = std::min(oldest, fe.oldest_input_round());
+  for (const auto& dc : datacenters_)
+    oldest = std::min(oldest, dc.oldest_input_round());
+  return iteration - oldest <= stale_bound_;
+}
 
-  void step(int iteration) override {
-    const Mat a_before = runtime_.a();
-    const Vec mu_before = runtime_.mu();
-    const Vec nu_before = runtime_.nu();
-    runtime_.round(iteration);
-    runtime_.next_round_ = iteration + 1;
-    topology_changed_ =
-        runtime_.options_.degraded && runtime_.remove_dead(iteration);
-    if (topology_changed_) {
-      // The before-snapshots address the removed topology; the engine skips
-      // this round's convergence test anyway.
-      change_ = 0.0;
-      return;
-    }
-    change_ = std::max({max_abs_diff(runtime_.a(), a_before),
-                        max_abs_diff(runtime_.mu(), mu_before),
-                        max_abs_diff(runtime_.nu(), nu_before)});
-  }
-
-  bool topology_changed() override { return topology_changed_; }
-
-  /// A round may declare convergence only when every input it consumed is
-  /// recent — oldest cached round within stale_bound_ of the current round.
-  /// Under eventual delivery (loss, bounded delay) ages stay within the
-  /// bound, so persistent random faults cannot starve convergence; a silent
-  /// (crashed or partitioned) peer grows the age without bound and keeps
-  /// blocking it until the health tracker removes the node or the watchdog
-  /// trips.
-  bool inputs_fresh(int iteration) const override {
-    std::int32_t oldest = static_cast<std::int32_t>(iteration);
-    for (const auto& fe : runtime_.front_ends_)
-      oldest = std::min(oldest, fe.oldest_input_round());
-    for (const auto& dc : runtime_.datacenters_)
-      oldest = std::min(oldest, dc.oldest_input_round());
-    return iteration - oldest <= runtime_.stale_bound_;
-  }
-
-  double balance_residual() const override {
-    return runtime_.balance_residual();
-  }
-  double copy_residual() const override { return runtime_.copy_residual(); }
-  double last_change() const override { return change_; }
-  double balance_scale() const override { return runtime_.scales_.balance; }
-  double copy_scale() const override { return runtime_.scales_.copy; }
-  double objective() const override {
-    return ufc_objective(runtime_.problem_, runtime_.lambda(), runtime_.mu());
-  }
-  bool iterate_finite() const override { return runtime_.iterate_finite(); }
-  double workload_scale() const override { return runtime_.sigma_; }
-  const UfcProblem& original_problem() const override {
-    return runtime_.original_;
-  }
-  Mat gather_lambda() const override { return runtime_.lambda(); }
-  Vec gather_mu() const override { return runtime_.mu(); }
-
- private:
-  DistributedAdmgRuntime& runtime_;
-  double change_ = 0.0;
-  bool topology_changed_ = false;
-};
+double DistributedAdmgRuntime::objective() const {
+  return ufc_objective(problem_, gather_lambda(), gather_mu());
+}
 
 DistributedReport DistributedAdmgRuntime::run() {
-  BusExecutor executor(*this);
   admm::AdmgEngine engine(options_.admg);
   DistributedReport report;
   // The engine owns the iteration skeleton (convergence gate, watchdog,
-  // trace, centralized fallback); this driver contributes only message
-  // exchange and degraded-mode membership via the executor. Resumability:
-  // starting the engine at next_round_ continues a checkpointed run.
-  static_cast<admm::SolveCore&>(report) = engine.solve(executor, next_round_);
+  // trace, centralized fallback); this runtime contributes only message
+  // exchange and degraded-mode membership. Resumability: starting the
+  // engine at next_round_ continues a checkpointed run.
+  static_cast<admm::SolveCore&>(report) = engine.solve(*this, next_round_);
   report.stale_inputs = stale_inputs();
   report.active_datacenters = active_dcs_;
   report.removed_datacenters = removed_dcs_;

@@ -1,9 +1,16 @@
 // DistributedAdmgRuntime: drives the full message-passing protocol —
 // M front-end agents, N datacenter agents and a convergence coordinator on
-// one MessageBus — and produces the same AdmgReport as the monolithic
+// one Transport — and produces the same AdmgReport as the monolithic
 // solver. This is the executable demonstration that the paper's algorithm
 // is *fully distributed*: strip away the bus and each node touches only its
 // Fig. 2 tuple.
+//
+// The runtime is the engine's message-passing BlockExecutor
+// (admm/engine.hpp): one engine step is one protocol round plus the
+// degraded-mode membership check. The coordinator reads per-node scalars
+// only: the agents' residual reports, each datacenter's largest move of the
+// round (which its own correction computes) and the agents' input rounds
+// for the freshness gate.
 //
 // Two operating modes (docs/ROBUSTNESS.md):
 //
@@ -18,6 +25,11 @@
 //    on the reduced problem. A solver watchdog (shared with AdmgSolver)
 //    catches non-finite iterates and residual stalls and can fall back to
 //    the centralized reference solver.
+//
+// Hosting is all-or-nothing: every agent runs in this process on the
+// in-process MessageBus, or — as the coordinator of a net::Supervisor fleet
+// (docs/DISTRIBUTION.md) — every datacenter runs in a worker process and
+// the runtime keeps shadow agents for them, fed by StateSync messages.
 #pragma once
 
 #include <cstddef>
@@ -36,21 +48,6 @@ namespace ufc::net {
 
 class SocketBus;
 
-/// Multi-process seam (docs/DISTRIBUTION.md): when `socket` is set, the
-/// runtime is the coordinator process of a supervised fleet. The listed
-/// datacenters are hosted in worker processes: the runtime keeps shadow
-/// agents for them (fed by StateSync messages) instead of executing their
-/// procedures locally, and every protocol message travels the socket.
-struct RemoteHosting {
-  SocketBus* socket = nullptr;      ///< Not owned; null = fully in-process.
-  /// ORIGINAL datacenter indices hosted remotely.
-  std::vector<std::size_t> remote_dcs;
-  /// Per-round wait for the remote datacenters' replies. A worker that
-  /// misses the deadline contributes stale inputs that round (degraded
-  /// mode) and is eventually declared dead via the health table.
-  int round_deadline_ms = 2000;
-};
-
 struct DistributedOptions {
   admm::AdmgOptions admg;     ///< Same knobs as the monolithic solver; the
                               ///< watchdog / fallback fields govern the
@@ -68,8 +65,6 @@ struct DistributedOptions {
   /// Silent rounds after which the coordinator declares a datacenter dead
   /// (degraded mode only).
   int dead_after_rounds = 5;
-  /// Multi-process hosting (see RemoteHosting). Default: everything local.
-  RemoteHosting remote;
 };
 
 /// Report of a distributed solve: the shared SolveCore plus the network- and
@@ -84,40 +79,61 @@ struct DistributedReport : admm::SolveCore {
   LinkStats network;   ///< Total traffic including retransmissions.
 };
 
-class BusExecutor;
-
-class DistributedAdmgRuntime {
+class DistributedAdmgRuntime final : public admm::BlockExecutor {
  public:
+  /// Every agent in this process, on the in-process MessageBus.
   DistributedAdmgRuntime(const UfcProblem& problem,
                          DistributedOptions options = {});
+  /// The coordinator of a supervised fleet (net::Supervisor): every
+  /// datacenter is hosted in a worker process and every protocol message
+  /// travels `hub` (not owned; must outlive the runtime). Each round waits
+  /// up to `round_deadline_ms` for the workers' replies; a worker that
+  /// misses it contributes stale inputs that round and is eventually
+  /// declared dead via the health table. Requires a delivery-preserving
+  /// fault plan: remote datacenter crashes arrive as EOFs, not FaultPlan
+  /// windows.
+  DistributedAdmgRuntime(const UfcProblem& problem, DistributedOptions options,
+                         SocketBus& hub, int round_deadline_ms);
 
   /// Runs rounds until the coordinator sees both scaled residuals below
-  /// tolerance, or max_iterations. Resumable: a second call (or a call
-  /// after restore()) continues from the next round.
+  /// tolerance, or max_iterations: AdmgEngine::solve on this executor.
+  /// Resumable: a second call (or a call after restore()) continues from the
+  /// next round.
   DistributedReport run();
 
-  /// One protocol round. Exposed so tests can compare against
-  /// AdmgSolver::step() iterate-by-iterate. Crashed nodes skip their
-  /// procedures; the coordinator records who reported.
-  void round(int iteration);
-
-  /// Assembles the current global iterate from the agents' local state,
-  /// in normalized workload units (matching AdmgSolver's accessors).
-  /// Columns are positional over the *active* datacenters.
-  Mat lambda() const;
-  Vec mu() const;
+  // ---- BlockExecutor ------------------------------------------------------
+  /// One protocol round, then (degraded mode) the membership check. Exposed
+  /// so tests can compare against AdmgSolver::step() iterate-by-iterate.
+  /// Crashed nodes skip their procedures; the coordinator records who
+  /// reported.
+  void step(int iteration) override;
+  bool topology_changed() override { return topology_changed_; }
+  /// A round may declare convergence only when every input it consumed is
+  /// recent — oldest cached round within stale_bound_ of the current round.
+  bool inputs_fresh(int iteration) const override;
+  double balance_residual() const override;  ///< Max over datacenter reports.
+  double copy_residual() const override;     ///< Max over front-end reports.
+  /// Largest a/mu/nu move of the last round: the maximum of the moves the
+  /// datacenters that stepped reported (0 on a round that removed one).
+  double last_change() const override { return change_; }
+  double balance_scale() const override { return scales_.balance; }
+  double copy_scale() const override { return scales_.copy; }
+  double objective() const override;
+  /// True iff every agent's local state is finite.
+  bool iterate_finite() const override;
+  double workload_scale() const override { return sigma_; }
+  /// The (possibly reduced) problem the runtime currently optimizes, in the
+  /// caller's original units.
+  const UfcProblem& original_problem() const override { return original_; }
+  /// The current global iterate assembled from the agents' local state, in
+  /// normalized workload units (matching AdmgSolver's accessors). Columns
+  /// are positional over the *active* datacenters.
+  Mat gather_lambda() const override;
+  Vec gather_mu() const override;
   Vec nu() const;
   Mat a() const;
 
-  double balance_residual() const;  ///< Max over datacenter reports.
-  double copy_residual() const;     ///< Max over front-end reports.
   const MessageBus& bus() const { return bus_; }
-  /// The transport every protocol message travels: the in-process bus by
-  /// default, the socket bus when remote hosting is configured.
-  const Transport& transport() const { return *transport_; }
-
-  /// True iff every agent's local state is finite.
-  bool iterate_finite() const;
   /// Total stale-input count across all agents (see DistributedReport).
   std::uint64_t stale_inputs() const;
   /// Original indices of the datacenters still participating.
@@ -127,9 +143,6 @@ class DistributedAdmgRuntime {
   const std::vector<std::size_t>& removed_datacenters() const {
     return removed_dcs_;
   }
-  /// The (possibly reduced) problem the runtime currently optimizes, in the
-  /// caller's original units.
-  const UfcProblem& current_problem() const { return original_; }
   int next_round() const { return next_round_; }
 
   /// The datacenter agents, positional with active_datacenters(). A forked
@@ -155,10 +168,6 @@ class DistributedAdmgRuntime {
   void restore(std::span<const std::byte> bytes);
 
  private:
-  /// The message-passing BlockExecutor (runtime.cpp) drives round() and the
-  /// degraded-mode membership hooks on the engine's behalf.
-  friend class BusExecutor;
-
   /// (Re)creates all agents for the current problem_/active_dcs_, with
   /// cold-start state.
   void build_agents();
@@ -166,15 +175,14 @@ class DistributedAdmgRuntime {
   /// of `round` — or, once its hosting peer's stream reported EOF/reset,
   /// silent for just one round; returns true if the topology changed.
   bool remove_dead(int round);
-  /// True iff active position `pos` is hosted in a worker process.
-  bool is_remote(std::size_t pos) const;
   /// Coordinator inbox handler: ConvergenceReport updates the health table;
-  /// StateSync additionally refreshes the remote datacenter's shadow agent.
+  /// StateSync additionally refreshes the remote datacenter's shadow agent
+  /// and folds the shadow's move into the round's change.
   void absorb_coordinator_message(const Message& message, int iteration);
-  /// Remote phase of round(): pumps the socket until every live remote
-  /// datacenter has delivered this round's StateSync (stream order
-  /// guarantees its assignments arrived first) or the round deadline
-  /// elapses, folding EOF'd peers into the health machinery.
+  /// Remote phase of step(): pumps the socket until every live datacenter
+  /// has delivered this round's StateSync (stream order guarantees its
+  /// assignments arrived first) or the round deadline elapses, folding
+  /// EOF'd peers into the health machinery.
   void pump_remote(int iteration);
   /// Removes the datacenter at active position `pos`, warm-restarting the
   /// survivors on the reduced problem. Returns false (and keeps the
@@ -187,9 +195,12 @@ class DistributedAdmgRuntime {
   ProtocolConfig protocol_;
   double sigma_ = 1.0;
   MessageBus bus_;
-  /// Every protocol send/receive goes through this; &bus_ unless remote
-  /// hosting routed it to the socket bus.
+  /// Every protocol send/receive goes through this: &bus_, or the fleet's
+  /// hub socket.
   Transport* transport_ = nullptr;
+  /// The fleet's hub socket; null when every agent runs in this process.
+  SocketBus* socket_ = nullptr;
+  int round_deadline_ms_ = 0;  ///< Fleet only: per-round wait for workers.
   std::vector<FrontEndAgent> front_ends_;
   std::vector<DatacenterAgent> datacenters_;
   /// Original index of each active datacenter, positional with
@@ -215,6 +226,8 @@ class DistributedAdmgRuntime {
   int stale_bound_ = 1;
   int next_round_ = 0;
   admm::ResidualScales scales_;  ///< Recomputed after every removal.
+  double change_ = 0.0;          ///< See last_change().
+  bool topology_changed_ = false;
 };
 
 }  // namespace ufc::net

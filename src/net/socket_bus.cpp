@@ -313,10 +313,7 @@ bool SocketBus::is_local(NodeId node) const {
                    node) != config_.local_nodes.end();
 }
 
-void SocketBus::begin_round(int round) {
-  UFC_EXPECTS(round >= 0);
-  round_ = round;
-}
+void SocketBus::begin_round(int round) { UFC_EXPECTS(round >= 0); }
 
 SocketBus::Peer* SocketBus::peer_for(NodeId destination) {
   if (!config_.hub) {

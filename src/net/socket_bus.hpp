@@ -189,7 +189,6 @@ class SocketBus final : public Transport {
 
   // Transport contract -----------------------------------------------------
   void begin_round(int round) override;
-  int current_round() const override { return round_; }
   /// Local destination: enqueues directly. Remote: frames and writes to the
   /// peer stream, connecting first if needed. Deadline-bounded; exhaustion
   /// of max_attempts (connect) or io_timeout_ms (write) returns Failed.
@@ -273,7 +272,6 @@ class SocketBus final : public Transport {
   void accept_ready();
 
   SocketBusConfig config_;
-  int round_ = 0;
   int listen_fd_ = -1;
   int bound_tcp_port_ = 0;
   bool shutdown_requested_ = false;

@@ -218,7 +218,6 @@ SupervisedReport Supervisor::run_impl(std::span<const std::byte> checkpoint) {
   }
 
   const std::size_t m = problem_.num_front_ends();
-  const std::size_t n = problem_.num_datacenters();
 
   // Hub socket: coordinator + every front-end live in this process.
   SocketBusConfig hub_config;
@@ -241,11 +240,8 @@ SupervisedReport Supervisor::run_impl(std::span<const std::byte> checkpoint) {
                               options_.checkpoint_at_round);
   DistributedOptions dist = options_.distributed;
   dist.admg.observer = &observer;
-  dist.remote.socket = &hub;
-  dist.remote.round_deadline_ms = options_.round_deadline_ms;
-  dist.remote.remote_dcs.resize(n);
-  for (std::size_t j = 0; j < n; ++j) dist.remote.remote_dcs[j] = j;
-  DistributedAdmgRuntime runtime(problem_, std::move(dist));
+  DistributedAdmgRuntime runtime(problem_, std::move(dist), hub,
+                                 options_.round_deadline_ms);
   if (!checkpoint.empty()) runtime.restore(checkpoint);
 
   // Deal the ACTIVE datacenters (a restored image may have fewer) round-

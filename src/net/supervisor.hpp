@@ -32,8 +32,8 @@ namespace ufc::net {
 
 struct SupervisorOptions {
   /// Runtime knobs for the coordinator. degraded must be true (a real fleet
-  /// can always lose a worker mid-round); the remote field is overwritten
-  /// by the supervisor.
+  /// can always lose a worker mid-round); the fault plan must be
+  /// delivery-preserving. Every datacenter is hosted in a worker process.
   DistributedOptions distributed;
   /// Worker processes to fork; active datacenters are dealt round-robin.
   /// Clamped to the number of datacenters.
@@ -43,7 +43,9 @@ struct SupervisorOptions {
   /// false = Unix-domain socket (default); true = TCP on loopback with an
   /// ephemeral port.
   bool use_tcp = false;
-  /// Per-round wait for remote replies (RemoteHosting::round_deadline_ms).
+  /// Per-round wait for the workers' replies. A worker that misses the
+  /// deadline contributes stale inputs that round and is eventually
+  /// declared dead via the health table.
   int round_deadline_ms = 4000;
   /// Deadline for individual socket writes / worker round waits.
   int io_timeout_ms = 2000;

@@ -13,7 +13,7 @@
 //    a crashed/unreachable peer); the degraded protocol absorbs the gap.
 //  * begin_round() advances the transport's protocol clock. The in-process
 //    bus uses it to release delayed messages and evaluate fault windows;
-//    the socket bus stamps its backoff accounting with it.
+//    the socket bus, whose clock is the wall clock, only checks it.
 //
 // Agents (agents.hpp) and the runtime (runtime.hpp) are written against this
 // interface only, so the same protocol code runs unchanged in one process or
@@ -43,7 +43,6 @@ class Transport {
 
   /// Advances the protocol clock to `round` (monotone non-decreasing).
   virtual void begin_round(int round) = 0;
-  virtual int current_round() const = 0;
 
   /// Sends under the transport's delivery model. Never blocks forever: a
   /// socket transport bounds every connect/write with a deadline and

@@ -150,8 +150,8 @@ TEST(IngredientCompositions, AgreeWithTheReferenceAtThreeSizes) {
 }
 
 TEST(IngredientCompositions, MessagePassingRuntimeRejectsAnderson) {
-  // The bus executor has no flat-iterate seam: Anderson must be refused up
-  // front, not silently replaced by the plain scheme.
+  // The message-passing runtime has no flat-iterate seam: Anderson must be
+  // refused up front, not silently replaced by the plain scheme.
   net::DistributedOptions dist;
   dist.admg.acceleration = Acceleration::Anderson;
   net::DistributedAdmgRuntime runtime(make_tiny_problem(), dist);

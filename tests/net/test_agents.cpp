@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "net/agents.hpp"
@@ -128,6 +131,67 @@ TEST(DatacenterAgent, MissingProposalThrows) {
   proposal.payload = {1.0, 0.0};
   bus.send(proposal);  // second front-end never reports
   EXPECT_THROW(dc.process_proposals(bus, 0), ContractViolation);
+}
+
+/// A worker-side datacenter after one round, and the StateSync it sends.
+Message one_round_state_sync(DatacenterAgent& worker) {
+  MessageBus bus;
+  Message proposal;
+  proposal.source = front_end_id(0);
+  proposal.destination = worker.id();
+  proposal.type = MessageType::RoutingProposal;
+  proposal.iteration = 0;
+  proposal.payload = {1.0, 0.0};
+  bus.send(proposal);
+  (void)worker.process_proposals(bus, 0);
+  return worker.make_state_sync(0);
+}
+
+TEST(DatacenterAgent, SyncRemoteRejectsMalformedAgeFields) {
+  DatacenterAgent worker(make_dc_config());
+  const Message sync = one_round_state_sync(worker);
+  DatacenterAgent shadow(make_dc_config());
+
+  // The oldest input round and the stale count arrive as doubles from
+  // another process. Casting NaN, 1e300 or -7 to an integer is undefined
+  // behaviour; 2.5 is no round; an input newer than the sync is impossible.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double oldest : {nan, 1e300, -7.0, 2.5, 1.0}) {
+    Message bad = sync;
+    bad.payload[4] = oldest;
+    EXPECT_THROW(shadow.sync_remote(bad), ContractViolation)
+        << "oldest input round " << oldest;
+  }
+  for (const double stale : {nan, 1e300, -1.0, 2.5, 0x1p53 + 2.0}) {
+    Message bad = sync;
+    bad.payload[5] = stale;
+    EXPECT_THROW(shadow.sync_remote(bad), ContractViolation)
+        << "stale count " << stale;
+  }
+  // A rejected message leaves the shadow untouched.
+  EXPECT_EQ(shadow.mu(), 0.0);
+  EXPECT_EQ(shadow.a_col()[0], 0.0);
+  EXPECT_EQ(shadow.oldest_input_round(), -1);
+  EXPECT_EQ(shadow.stale_proposals(), 0u);
+
+  shadow.sync_remote(sync);
+  EXPECT_EQ(shadow.mu(), worker.mu());
+  EXPECT_EQ(shadow.oldest_input_round(), 0);
+}
+
+TEST(DatacenterAgent, SyncRemoteReturnsTheShadowsMove) {
+  DatacenterAgent worker(make_dc_config());
+  const Message sync = one_round_state_sync(worker);
+  DatacenterAgent shadow(make_dc_config());
+
+  // The shadow starts from the cold iterate (all zero), so its move is the
+  // largest |a|, |mu| or |nu| the worker reached; phi is not part of it.
+  const double moved = std::max({std::abs(worker.a_col()[0]),
+                                 std::abs(worker.mu()), std::abs(worker.nu())});
+  ASSERT_GT(moved, 0.0);
+  EXPECT_EQ(shadow.sync_remote(sync), moved);
+  // Adopting the same state again moves nothing.
+  EXPECT_EQ(shadow.sync_remote(sync), 0.0);
 }
 
 TEST(DatacenterAgent, ConflictingPinningThrows) {

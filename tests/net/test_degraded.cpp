@@ -4,6 +4,7 @@
 // (possibly reduced) problem the runtime actually solved.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <memory>
@@ -150,7 +151,7 @@ TEST(DegradedRuntime, DatacenterCrashDegradesToReducedProblemOptimum) {
 
   // The surviving system must land on the optimum of the *reduced* problem,
   // independently verified by the centralized oracle.
-  const UfcProblem& reduced = runtime.current_problem();
+  const UfcProblem& reduced = runtime.original_problem();
   ASSERT_EQ(reduced.datacenters.size(), 2u);
   EXPECT_EQ(reduced.datacenters[0].name, "pricey-clean");
   EXPECT_EQ(reduced.datacenters[1].name, "backup");
@@ -159,6 +160,52 @@ TEST(DegradedRuntime, DatacenterCrashDegradesToReducedProblemOptimum) {
   const auto oracle = admm::solve_centralized(reduced, central);
   const double scale = std::abs(oracle.objective);
   EXPECT_NEAR(report.breakdown.ufc, oracle.objective, 0.01 * scale);
+}
+
+// The round's change comes from the datacenters themselves: each reports
+// the largest move of its own a, mu and nu, and the coordinator keeps the
+// maximum. Under random delay and a crash long enough to remove a
+// datacenter, it must equal the movement of the assembled iterate bit for
+// bit, and read 0 on the removal round (whose convergence test the engine
+// skips). Not pinned here: a fleet round can take in two StateSyncs from one
+// worker after that worker missed a deadline, and the change is then the
+// larger of the two moves, not the net movement; that case depends on
+// timing.
+TEST(DegradedRuntime, RoundChangeIsTheIterateMovement) {
+  const auto problem = make_three_dc_problem();
+  DistributedOptions dist;
+  dist.admg = tight();
+  dist.degraded = true;
+  dist.max_attempts = 2;
+  dist.dead_after_rounds = 5;
+  dist.loss_seed = 5;
+  dist.faults.random_faults({.delay_rate = 0.3, .max_delay_rounds = 2});
+  dist.faults.crash(datacenter_id(0), {10, kForeverRound});
+  DistributedAdmgRuntime runtime(problem, dist);
+
+  int removal_rounds = 0;
+  double largest = 0.0;
+  for (int k = 0; k < 60; ++k) {
+    const Mat a_before = runtime.a();
+    const Vec mu_before = runtime.gather_mu();
+    const Vec nu_before = runtime.nu();
+    runtime.step(k);
+    if (runtime.topology_changed()) {
+      ++removal_rounds;
+      EXPECT_EQ(runtime.last_change(), 0.0) << "removal round " << k;
+      continue;
+    }
+    const double moved =
+        std::max({max_abs_diff(runtime.a(), a_before),
+                  max_abs_diff(runtime.gather_mu(), mu_before),
+                  max_abs_diff(runtime.nu(), nu_before)});
+    ASSERT_EQ(runtime.last_change(), moved) << "round " << k;
+    largest = std::max(largest, moved);
+  }
+  EXPECT_EQ(removal_rounds, 1);
+  EXPECT_EQ(runtime.removed_datacenters(), (std::vector<std::size_t>{0}));
+  EXPECT_GT(runtime.stale_inputs(), 0u);
+  EXPECT_GT(largest, 0.0);
 }
 
 TEST(DegradedRuntime, FrontEndCrashRestartRecovers) {

@@ -33,12 +33,16 @@ TEST(DistributedRuntime, IteratesBitIdenticalToMonolithicSolver) {
 
   for (int k = 0; k < 25; ++k) {
     solver.step();
-    runtime.round(k);
-    ASSERT_EQ(max_abs_diff(runtime.lambda(), solver.lambda()), 0.0)
+    runtime.step(k);
+    ASSERT_EQ(max_abs_diff(runtime.gather_lambda(), solver.lambda()), 0.0)
         << "lambda diverged at iteration " << k;
     ASSERT_EQ(max_abs_diff(runtime.a(), solver.a()), 0.0);
-    ASSERT_EQ(max_abs_diff(runtime.mu(), solver.mu()), 0.0);
+    ASSERT_EQ(max_abs_diff(runtime.gather_mu(), solver.mu()), 0.0);
     ASSERT_EQ(max_abs_diff(runtime.nu(), solver.nu()), 0.0);
+    // The round's change, folded from the datacenters' own moves, is the
+    // solver's last change bit for bit.
+    ASSERT_EQ(runtime.last_change(), solver.last_change())
+        << "last change diverged at iteration " << k;
   }
 }
 
@@ -63,7 +67,7 @@ TEST(DistributedRuntime, MessageCountMatchesProtocol) {
   DistributedOptions dist;
   dist.admg = tight();
   DistributedAdmgRuntime runtime(problem, dist);
-  runtime.round(0);
+  runtime.step(0);
   EXPECT_EQ(runtime.bus().total().messages, 2u * 2u * 2u + 4u);
 }
 

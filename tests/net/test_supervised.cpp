@@ -148,7 +148,7 @@ TEST(Supervised, KilledWorkerDegradesToReducedProblemOptimum) {
 
   // Both paths must land on the reduced-problem optimum, independently
   // confirmed by the centralized oracle.
-  const UfcProblem& reduced = runtime.current_problem();
+  const UfcProblem& reduced = runtime.original_problem();
   ASSERT_EQ(reduced.datacenters.size(), 2u);
   admm::CentralizedOptions central;
   central.max_iterations = 8000;
