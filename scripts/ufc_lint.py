@@ -135,8 +135,9 @@ class Definition:
 class Tree:
     root: Path
     files: dict[str, SourceFile]
-    # Every function defined in a src/ .cpp, by "Class::name" and by bare
-    # name (a bare-name key holds members too).
+    # Every function defined in src/ (a .cpp, or a header's column-0
+    # definitions, such as the templates of opt/scalar.hpp), by
+    # "Class::name" and by bare name (a bare-name key holds members too).
     index: dict[str, list[Definition]] = field(default_factory=dict)
 
 
@@ -191,7 +192,7 @@ def build_tree(root: Path) -> Tree:
                 source.includes.append(
                     (i, m.group(1), _resolve_include(names, source.rel,
                                                      m.group(1))))
-        if source.rel.startswith("src/") and source.rel.endswith(".cpp"):
+        if source.rel.startswith("src/"):
             for definition in _definitions_in(source):
                 if definition.qualifier:
                     tree.index.setdefault(
@@ -666,15 +667,18 @@ def check_global_state(tree: Tree):
 # ---------------------------------------------------------------------------
 # The per-iteration hot path: AdmgSolver::step, the datacenter pass it calls,
 # the datacenter procedures that pass shares with net::DatacenterAgent, the
-# two block solvers the passes call once per row or column, and the
-# message-passing runtime's round, whose coordinator folds per-datacenter
-# scalars instead of gathering the iterate. Every Mat/Vec they need lives in
-# workspaces sized once in reset() (or by the agent's constructor) or grown
-# on the first block solve. (The no-argument AdmgSolver::step() is inline in
+# two block solvers the passes call once per row or column, the root finder
+# every lambda, a and nu probe runs (both forms and their shared Illinois
+# loop, header templates in opt/scalar.hpp), and the message-passing
+# runtime's round, whose coordinator folds per-datacenter scalars instead of
+# gathering the iterate. Every Mat/Vec they need lives in workspaces sized
+# once in reset() (or by the agent's constructor) or grown on the first
+# block solve. (The no-argument AdmgSolver::step() is inline in
 # admm/admg.hpp and only forwards to step(int).)
 HOT_PATH = ("AdmgSolver::step", "AdmgSolver::run_full_datacenter_pass",
             "predict_datacenter", "correct_datacenter",
             "solve_lambda_block_into", "solve_a_block_into",
+            "monotone_root", "monotone_root_from", "illinois_root",
             "DistributedAdmgRuntime::step")
 # The iteration loop itself. It is exception-free like the hot path, but
 # not allocation-free: it packages the report once, after the loop.
@@ -1216,6 +1220,17 @@ HOT_PATH_BLOCKS = ("void solve_lambda_block_into(const LambdaBlockInputs& in) {\
                    "  run(in);\n}\n"
                    "void solve_a_block_into(const ABlockInputs& in) {\n"
                    "  run(in);\n}\n")
+HOT_PATH_ROOTS = ("#pragma once\n"
+                  "template <typename G>\n"
+                  "double illinois_root(G& g, double lo, double hi) {\n"
+                  "  return g(lo);\n}\n"
+                  "template <typename G>\n"
+                  "double monotone_root(G&& g, double lo, double hi) {\n"
+                  "  return illinois_root(g, lo, hi);\n}\n"
+                  "template <typename G>\n"
+                  "double monotone_root_from(G&& g, double x0, double lo,\n"
+                  "                          double hi) {\n"
+                  "  return illinois_root(g, x0, hi);\n}\n")
 DATACENTER_PASS = "void AdmgSolver::run_full_datacenter_pass() {\n  run();\n}\n"
 HOT_PATH_RUNTIME = ("void DistributedAdmgRuntime::step(int iteration) {\n"
                     "  exchange(iteration);\n}\n")
@@ -1343,6 +1358,15 @@ FIXTURES = [
       "DatacenterPrediction predict_datacenter(std::span<const double> a) {\n"
       "  Vec column(a);\n  return run(column);\n}\n"},
      ["predict_datacenter"]),
+    # The root finder is a header template; its probes run inside every
+    # block solve, so a vector built there allocates once per solve.
+    ("no_alloc_in_header_root_finder_flagged", "no-alloc-in-step",
+     {"src/opt/scalar.hpp":
+      "#pragma once\n"
+      "template <typename G>\n"
+      "double monotone_root_from(G&& g, double x0, double lo, double hi) {\n"
+      "  Vec probes(kRootMaxProbes);\n  return search(g, probes, x0);\n}\n"},
+     ["monotone_root_from"]),
     # The coordinator reads each datacenter's move; a snapshot of the
     # gathered iterate per round is the allocation the rule keeps out.
     ("no_alloc_in_runtime_step_flagged", "no-alloc-in-step",
@@ -1570,11 +1594,13 @@ FIXTURES = [
      {"src/admm/engine.cpp": HOT_PATH_ENGINE,
       "src/admm/admg.cpp": HOT_PATH_SOLVER + DATACENTER_PASS,
       "src/admm/blocks.cpp": HOT_PATH_BLOCKS,
+      "src/opt/scalar.hpp": HOT_PATH_ROOTS,
       "src/net/runtime.cpp": HOT_PATH_RUNTIME}, CLEAN),
     ("hot_path_live_entry_without_definition_flagged", "hot-path-live",
      {"src/admm/engine.cpp": HOT_PATH_ENGINE,
       "src/admm/admg.cpp": HOT_PATH_SOLVER,
       "src/admm/blocks.cpp": HOT_PATH_BLOCKS,
+      "src/opt/scalar.hpp": HOT_PATH_ROOTS,
       "src/net/runtime.cpp": HOT_PATH_RUNTIME}, ["run_full_datacenter_pass"]),
     # expects-reach
     ("expects_guard_missing", "expects-reach",

@@ -67,8 +67,7 @@ void AdmgSolver::reset() {
   scratch_.resize(pool_.thread_count());
   for (auto& ws : scratch_) ws.a_new.resize(m_);
   chunk_change_.assign(pool_.thread_count(), 0.0);
-  chunk_predict_seconds_.assign(pool_.thread_count(), 0.0);
-  chunk_correct_seconds_.assign(pool_.thread_count(), 0.0);
+  chunk_profiles_.assign(pool_.thread_count(), PhaseProfile{});
 }
 
 void AdmgSolver::copy_iterate(std::span<double> out) const {
@@ -165,10 +164,7 @@ void AdmgSolver::step(int /*iteration*/) {
   using util::seconds_between;
   if (profile_) {
     profile_last_ = PhaseProfile{};
-    std::fill(chunk_predict_seconds_.begin(), chunk_predict_seconds_.end(),
-              0.0);
-    std::fill(chunk_correct_seconds_.begin(), chunk_correct_seconds_.end(),
-              0.0);
+    std::fill(chunk_profiles_.begin(), chunk_profiles_.end(), PhaseProfile{});
   }
   // Straggler draws happen serially in ascending front-end order before the
   // parallel pass, so the consumed random stream (and therefore the iterate
@@ -186,6 +182,7 @@ void AdmgSolver::step(int /*iteration*/) {
   pool_.parallel_for_chunks(
       0, m_, [&](std::size_t begin, std::size_t end, std::size_t c) {
         BlockWorkspace& ws = scratch_[c].blocks;
+        std::uint64_t probes = 0;
         for (std::size_t i = begin; i < end; ++i) {
           if (partial_ && participate_[i] == 0) {
             // Straggler: the coordinator keeps this front-end's cached
@@ -197,7 +194,9 @@ void AdmgSolver::step(int /*iteration*/) {
             std::copy(cached.begin(), cached.end(), stale.begin());
             continue;
           }
-          solve_lambda_block_into(
+          // lambda_ still holds the previous step's lambda, where the
+          // block's root search starts.
+          probes += static_cast<std::uint64_t>(solve_lambda_block_into(
               {.arrival = problem_.arrivals[i],
                .latency_row = problem_.latency_s.row_span(i),
                .a_row = a_.row_span(i),
@@ -205,8 +204,9 @@ void AdmgSolver::step(int /*iteration*/) {
                .rho = rule_.rho,
                .latency_weight = problem_.latency_weight,
                .utility = problem_.utility.get()},
-              lambda_.row_span(i), lambda_tilde_.row_span(i), ws);
+              lambda_.row_span(i), lambda_tilde_.row_span(i), ws));
         }
+        if (profile_) chunk_profiles_[c].lambda_probes += probes;
       });
 
   if (profile_)
@@ -222,10 +222,12 @@ void AdmgSolver::step(int /*iteration*/) {
   if (profile_) {
     // Summed worker-thread time (not wall time): chunks overlap, so the
     // phase totals measure compute cost, comparable across thread counts.
-    for (const double s : chunk_predict_seconds_)
-      profile_last_.prediction_seconds += s;
-    for (const double s : chunk_correct_seconds_)
-      profile_last_.correction_seconds += s;
+    for (const PhaseProfile& chunk : chunk_profiles_) {
+      profile_last_.prediction_seconds += chunk.prediction_seconds;
+      profile_last_.correction_seconds += chunk.correction_seconds;
+      profile_last_.lambda_probes += chunk.lambda_probes;
+      profile_last_.a_probes += chunk.a_probes;
+    }
   }
 
   // lambda is the first block: accepted as predicted. Swapping (instead of
@@ -276,9 +278,12 @@ void AdmgSolver::run_full_datacenter_pass() {
           // reads only — the arithmetic is untouched.
           const auto correction_started =
               profile_ ? monotonic_now() : MonotonicTick{};
-          if (profile_)
-            chunk_predict_seconds_[c] +=
+          if (profile_) {
+            chunk_profiles_[c].prediction_seconds +=
                 seconds_between(column_started, correction_started);
+            chunk_profiles_[c].a_probes +=
+                static_cast<std::uint64_t>(predicted.a_probes);
+          }
 
           // Step 2 (or the plain-ADMM acceptance when gbs is off), applied
           // in place on the transposed rows. Each variable's correction
@@ -298,7 +303,7 @@ void AdmgSolver::run_full_datacenter_pass() {
           a_col_sum_post_[j] = col_total;
 
           if (profile_)
-            chunk_correct_seconds_[c] +=
+            chunk_profiles_[c].correction_seconds +=
                 seconds_between(correction_started, monotonic_now());
         }
         chunk_change_[c] = change;

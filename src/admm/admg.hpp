@@ -209,13 +209,14 @@ class AdmgSolver : public BlockExecutor {
   bool post_sums_fresh_ = false;
 
   // Phase profiling (set_phase_profiling). The fused datacenter pass splits
-  // its time per column into prediction vs correction, accumulated per chunk
-  // and summed in chunk order afterwards — deterministic bookkeeping around
-  // unchanged arithmetic.
+  // its time per column into prediction vs correction; both passes count
+  // their block solvers' probes. Each chunk accumulates into its own
+  // profile (prediction/correction seconds and probe counts), summed in
+  // chunk order afterwards — deterministic bookkeeping around unchanged
+  // arithmetic.
   bool profile_ = false;
   PhaseProfile profile_last_;
-  std::vector<double> chunk_predict_seconds_;
-  std::vector<double> chunk_correct_seconds_;
+  std::vector<PhaseProfile> chunk_profiles_;
 };
 
 /// Convenience wrapper: construct, solve, return the report.

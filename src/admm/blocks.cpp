@@ -10,10 +10,10 @@
 
 namespace ufc::admm {
 
-void solve_lambda_block_into(const LambdaBlockInputs& in,
-                             std::span<const double> warm_start,
-                             std::span<double> out, BlockWorkspace& ws,
-                             const InnerSolverOptions& /*options*/) {
+int solve_lambda_block_into(const LambdaBlockInputs& in,
+                            std::span<const double> warm_start,
+                            std::span<double> out, BlockWorkspace& ws,
+                            const InnerSolverOptions& /*options*/) {
   UFC_EXPECTS(in.utility != nullptr);
   UFC_EXPECTS(in.rho > 0.0);
   UFC_EXPECTS(in.arrival >= 0.0);
@@ -26,7 +26,7 @@ void solve_lambda_block_into(const LambdaBlockInputs& in,
   // A front-end with no arrivals routes nothing.
   if (in.arrival <= 0.0) {
     std::fill(out.begin(), out.end(), 0.0);
-    return;
+    return 0;
   }
 
   // lambda(s) = P(base + pull(s) L), base = a + varphi / rho,
@@ -37,17 +37,32 @@ void solve_lambda_block_into(const LambdaBlockInputs& in,
   const double* UFC_RESTRICT lat = in.latency_row.data();
   const double* UFC_RESTRICT a = in.a_row.data();
   const double* UFC_RESTRICT varphi = in.varphi_row.data();
+  const double* UFC_RESTRICT warm = warm_start.data();
   double lat_min = lat[0];
   double lat_max = lat[0];
+  double lat_sum = 0.0;
+  double warm_sum = 0.0;
+  double warm_routed = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     base[j] = a[j] + varphi[j] / in.rho;
     lat_min = std::min(lat_min, lat[j]);
     lat_max = std::max(lat_max, lat[j]);
+    lat_sum += lat[j];
+    warm_sum += warm[j];
+    warm_routed += warm[j] * lat[j];
   }
+  // The search starts at the previous iterate's s = L . lambda, rescaled to
+  // this arrival, or at the mean latency when that row routes nothing (the
+  // cold start, or a front-end whose arrivals were zero).
+  const double start =
+      warm_sum > 0.0 ? in.arrival * warm_routed / warm_sum
+                     : in.arrival * lat_sum / static_cast<double>(n);
   const double weight = in.latency_weight / in.rho;
-  // Each probe leaves lambda(s) in out; monotone_root returns at its last
+  // Each probe leaves lambda(s) in out; the root search returns at its last
   // probe, so out ends at the root.
+  int probes = 0;
   auto gap = [&](double s) {
+    ++probes;
     const double pull = weight * in.utility->derivative(s / in.arrival);
     for (std::size_t j = 0; j < n; ++j) out[j] = base[j] + pull * lat[j];
     project_simplex_into(out, in.arrival, out, ws.scratch);
@@ -55,7 +70,8 @@ void solve_lambda_block_into(const LambdaBlockInputs& in,
     for (std::size_t j = 0; j < n; ++j) routed += out[j] * lat[j];
     return s - routed;
   };
-  monotone_root(gap, in.arrival * lat_min, in.arrival * lat_max);
+  monotone_root_from(gap, start, in.arrival * lat_min, in.arrival * lat_max);
+  return probes;
 }
 
 double solve_mu_block(const MuBlockInputs& in) {
@@ -90,10 +106,10 @@ double solve_nu_block(const NuBlockInputs& in) {
   return monotone_root(h, 0.0, hi);
 }
 
-void solve_a_block_into(const ABlockInputs& in,
-                        std::span<const double> warm_start,
-                        std::span<double> out, BlockWorkspace& ws,
-                        const InnerSolverOptions& /*options*/) {
+int solve_a_block_into(const ABlockInputs& in,
+                       std::span<const double> warm_start,
+                       std::span<double> out, BlockWorkspace& ws,
+                       const InnerSolverOptions& /*options*/) {
   UFC_EXPECTS(in.rho > 0.0);
   UFC_EXPECTS(in.capacity >= 0.0);
   const std::size_t m = in.varphi_col.size();
@@ -108,18 +124,26 @@ void solve_a_block_into(const ABlockInputs& in,
   double* UFC_RESTRICT base = ws.base.data();
   const double* UFC_RESTRICT lam = in.lambda_col.data();
   const double* UFC_RESTRICT varphi = in.varphi_col.data();
-  for (std::size_t i = 0; i < m; ++i)
+  const double* UFC_RESTRICT warm = warm_start.data();
+  // The search starts at the previous iterate's t = sum_i a_i.
+  double start = 0.0;
+  for (std::size_t i = 0; i < m; ++i) {
     base[i] = lam[i] - varphi[i] / in.rho - shift;
+    start += warm[i];
+  }
   const double beta_sq = in.beta * in.beta;
   // As in the lambda block, out ends at the root's projection.
+  int probes = 0;
   auto gap = [&](double t) {
+    ++probes;
     for (std::size_t i = 0; i < m; ++i) out[i] = base[i] - beta_sq * t;
     project_capped_simplex_into(out, in.capacity, out, ws.scratch);
     double assigned = 0.0;
     for (std::size_t i = 0; i < m; ++i) assigned += out[i];
     return t - assigned;
   };
-  monotone_root(gap, 0.0, in.capacity);
+  monotone_root_from(gap, start, 0.0, in.capacity);
+  return probes;
 }
 
 // ufc-lint: allow(expects-reach) — pure arithmetic on scalars already

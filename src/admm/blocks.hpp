@@ -47,8 +47,9 @@ struct BlockWorkspace {
 // the minimizer is
 //   lambda(s) = P_simplex(A_i)(a_i + varphi_i/rho + (w/rho) u'(s/A_i) L_i)
 // at the s with L_i . lambda(s) = s. For concave u the left side falls as s
-// grows, so the root is unique on [A_i min L_i, A_i max L_i] and
-// monotone_root (opt/scalar.hpp) finds it with one projection per probe.
+// grows, so g(s) = s - L_i . lambda(s) has slope at least 1 and one root on
+// [A_i min L_i, A_i max L_i]; monotone_root_from (opt/scalar.hpp) finds it
+// with one projection per probe, starting at the previous iterate's s.
 
 // The row/column inputs are non-owning views (the solver hands out
 // Mat::row_span / workspace columns without copying): the backing storage
@@ -64,12 +65,17 @@ struct LambdaBlockInputs {
 };
 
 /// Writes the exact minimizer into `out` (sized N; it must not alias the
-/// inputs). No heap allocation once `ws` is warm. The solve is exact from
-/// any start, so `warm_start` is only checked for size.
-void solve_lambda_block_into(const LambdaBlockInputs& in,
-                             std::span<const double> warm_start,
-                             std::span<double> out, BlockWorkspace& ws,
-                             const InnerSolverOptions& options = {});
+/// inputs or `warm_start`). No heap allocation once `ws` is warm. The solve
+/// is exact from any start; `warm_start` (the previous lambda_i, sized N)
+/// only picks where the root search starts: at
+/// s0 = A_i (L_i . warm) / sum(warm), or at A_i mean(L_i) when the row sums
+/// to zero. A start near the root saves probes, not accuracy. Returns the
+/// number of probes (one projection each) the search took; 0 for a
+/// front-end with no arrivals.
+int solve_lambda_block_into(const LambdaBlockInputs& in,
+                            std::span<const double> warm_start,
+                            std::span<double> out, BlockWorkspace& ws,
+                            const InnerSolverOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Step 1.2 — mu-minimization, one scalar per datacenter j (eq. (18));
@@ -123,8 +129,10 @@ double solve_nu_block(const NuBlockInputs& in);
 //   a(t) = P_{sum <= S_j}(lambda~_j - varphi_j / rho
 //                         - beta_j (phi_j / rho + alpha_j - mu~_j - nu~_j)
 //                         - beta_j^2 t)
-// (the scalar terms shift every entry) at the t with sum_i a_i(t) = t: one
-// projection per probe of monotone_root on [0, S_j].
+// (the scalar terms shift every entry) at the t with sum_i a_i(t) = t. The
+// sum falls as t grows, so g(t) = t - sum_i a_i(t) has slope at least 1:
+// one projection per probe of monotone_root_from on [0, S_j], starting at
+// the previous iterate's t.
 
 // Column inputs are non-owning views; see LambdaBlockInputs.
 struct ABlockInputs {
@@ -139,12 +147,13 @@ struct ABlockInputs {
   double capacity = 0.0;               ///< S_j, servers.
 };
 
-/// Writes the exact minimizer into `out` (sized M); see
-/// solve_lambda_block_into.
-void solve_a_block_into(const ABlockInputs& in,
-                        std::span<const double> warm_start,
-                        std::span<double> out, BlockWorkspace& ws,
-                        const InnerSolverOptions& options = {});
+/// Writes the exact minimizer into `out` (sized M) and returns the number
+/// of probes; see solve_lambda_block_into. The search starts at
+/// t0 = sum(warm_start), the previous a_j's column sum.
+int solve_a_block_into(const ABlockInputs& in,
+                       std::span<const double> warm_start,
+                       std::span<double> out, BlockWorkspace& ws,
+                       const InnerSolverOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Step 1.5 — dual updates.

@@ -214,17 +214,18 @@ DatacenterPrediction predict_datacenter(
                                .carbon_tons_per_mwh = dc.carbon_tons_per_mwh,
                                .emission_cost = dc.emission_cost});
 
-  // Procedure 4: a block (uses lambda~, mu~, nu~, phi^k, varphi^k).
-  solve_a_block_into({.alpha = dc.alpha_mw,
-                      .beta = dc.beta_mw,
-                      .mu = tilde.mu,
-                      .nu = tilde.nu,
-                      .phi = phi,
-                      .varphi_col = varphi,
-                      .lambda_col = lambda_tilde,
-                      .rho = rule.rho,
-                      .capacity = dc.capacity_servers},
-                     a, a_tilde, ws);
+  // Procedure 4: a block (uses lambda~, mu~, nu~, phi^k, varphi^k), its
+  // root search starting at a^k's column sum.
+  tilde.a_probes = solve_a_block_into({.alpha = dc.alpha_mw,
+                                       .beta = dc.beta_mw,
+                                       .mu = tilde.mu,
+                                       .nu = tilde.nu,
+                                       .phi = phi,
+                                       .varphi_col = varphi,
+                                       .lambda_col = lambda_tilde,
+                                       .rho = rule.rho,
+                                       .capacity = dc.capacity_servers},
+                                      a, a_tilde, ws);
 
   // Procedure 5: the local dual prediction (uses a~, mu~, nu~).
   double a_tilde_sum = 0.0;

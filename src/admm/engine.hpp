@@ -231,6 +231,7 @@ struct DatacenterPrediction {
   double mu = 0.0;   ///< mu~_j (0 under PinMu).
   double nu = 0.0;   ///< nu~_j (0 under PinNu).
   double phi = 0.0;  ///< phi~_j.
+  int a_probes = 0;  ///< Root-search probes of the a block (a work count).
 };
 
 /// Procedures 2-5: the mu, nu and a blocks from the iteration-k column `a`,

@@ -7,21 +7,29 @@
 // driver grows its own ad-hoc trace plumbing again.
 #pragma once
 
+#include <cstdint>
+
 namespace ufc::admm {
 
 struct SolveCore;  // solve_core.hpp
 
 /// Wall time one engine iteration spent in each algorithm phase, seconds on
-/// the monotonic clock. Filled only when AdmgOptions::profile_phases is set
-/// and the executor supports phase timing (the in-process executors do; the
-/// message-passing executor reports only the gate, which the engine times).
-/// Profiling adds clock reads around existing code and never reorders or
-/// alters arithmetic, so profiled solves stay bit-identical.
+/// the monotonic clock, and the block solvers' probe counts. Filled only
+/// when AdmgOptions::profile_phases is set and the executor supports phase
+/// timing (the in-process executors do; the message-passing executor
+/// reports only the gate, which the engine times). Profiling adds clock
+/// reads and counters around existing code and never reorders or alters
+/// arithmetic, so profiled solves stay bit-identical.
 struct PhaseProfile {
   double lambda_pass_seconds = 0.0;  ///< Per-front-end lambda predictions.
   double prediction_seconds = 0.0;   ///< mu/nu/a solves + dual updates.
   double correction_seconds = 0.0;   ///< Gaussian back substitution.
   double gate_seconds = 0.0;         ///< Residual/objective convergence gate.
+  /// Root-search probes (one projection each) of the iteration's lambda
+  /// and a block solves, summed over front-ends and datacenters. Work
+  /// counts, not times: equal for every thread count.
+  std::uint64_t lambda_probes = 0;
+  std::uint64_t a_probes = 0;
 
   double total_seconds() const {
     return lambda_pass_seconds + prediction_seconds + correction_seconds +

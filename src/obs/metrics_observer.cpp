@@ -25,6 +25,9 @@ void MetricsObserver::on_iteration(const admm::IterationSample& sample) {
         .observe(phases.correction_seconds);
     registry_.histogram(prefix_ + ".phase.gate_seconds", boundaries)
         .observe(phases.gate_seconds);
+    registry_.counter(prefix_ + ".block.lambda_probes")
+        .add(phases.lambda_probes);
+    registry_.counter(prefix_ + ".block.a_probes").add(phases.a_probes);
   }
 }
 

@@ -24,13 +24,15 @@ namespace ufc::obs {
 ///
 ///   counters    <prefix>.iterations, <prefix>.solves,
 ///               <prefix>.converged_solves, <prefix>.fallback_solves,
-///               <prefix>.watchdog_trips
+///               <prefix>.watchdog_trips and, when phase profiling is on
+///               (AdmgOptions::profile_phases), the block solvers' root
+///               probes <prefix>.block.{lambda,a}_probes
 ///   gauges      <prefix>.last.iterations, <prefix>.last.balance_residual,
 ///               <prefix>.last.copy_residual, <prefix>.last.objective
-///   histograms  <prefix>.iteration_seconds and, when phase profiling is on
-///               (AdmgOptions::profile_phases), <prefix>.phase.{lambda_pass,
-///               prediction,correction,gate}_seconds — all on
-///               default_time_boundaries(), so same-name registries merge.
+///   histograms  <prefix>.iteration_seconds and, with phase profiling,
+///               <prefix>.phase.{lambda_pass,prediction,correction,
+///               gate}_seconds — all on default_time_boundaries(), so
+///               same-name registries merge.
 class MetricsObserver : public admm::IterationObserver {
  public:
   /// `registry` is non-owning and must outlive the observer.

@@ -32,6 +32,13 @@ double displacement_gain(double delta, double nu, double mu, double eff,
 
 }  // namespace
 
+double discharge_value(double nu, double mu, double eff, double p0) {
+  nu = std::max(0.0, nu);
+  mu = std::max(0.0, mu);
+  const double running = kRunningSourceShare * (nu + mu);
+  return std::max(nu > running ? eff : 0.0, mu > running ? p0 : 0.0);
+}
+
 StorageWeekResult run_storage_week(const traces::Scenario& scenario,
                                    const StoragePolicyOptions& policy,
                                    const SimulatorOptions& options) {
@@ -115,8 +122,7 @@ StorageWeekResult run_storage_week(const traces::Scenario& scenario,
 
       // What is a discharged MWh worth right now? The priciest marginal
       // source currently running.
-      const double value_now = std::max(grid_draw > 0.0 ? eff : 0.0,
-                                        fuel_cell > 0.0 ? p0 : 0.0);
+      const double value_now = discharge_value(grid_draw, fuel_cell, eff, p0);
       if (value_now >= discharge_above[j] && (grid_draw + fuel_cell) > 0.0) {
         double delivered = battery.discharge(grid_draw + fuel_cell);
         slot_result.discharged_mwh += delivered;

@@ -41,8 +41,21 @@ struct StorageWeekResult {
   double carbon_delta_tons = 0.0;     ///< With-storage minus base (can be +/-).
 };
 
+/// A source counts as running only above this share of the site's load
+/// (nu + mu). Below it the dispatch is rounding residue of the solve: where
+/// the mu block clamps to zero, the Gaussian back substitution leaves mu
+/// near +-1e-15 MW.
+inline constexpr double kRunningSourceShare = 1e-9;
+
+/// What one discharged MWh is worth at a site drawing `nu` MW from the grid
+/// at effective price `eff` and `mu` MW from fuel cells at `p0`: the
+/// priciest source running (kRunningSourceShare), or 0 when neither runs.
+/// Negative draws count as zero.
+double discharge_value(double nu, double mu, double eff, double p0);
+
 /// Runs the Hybrid strategy over the scenario with batteries at every
-/// datacenter and reports the grid-side savings and peak shaving.
+/// datacenter and reports the grid-side savings and peak shaving. A slot
+/// discharges when discharge_value reaches the site's high price quantile.
 StorageWeekResult run_storage_week(const traces::Scenario& scenario,
                                    const StoragePolicyOptions& policy,
                                    const SimulatorOptions& options = {});

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "admm/blocks.hpp"
@@ -30,20 +31,49 @@ using ::ufc::testing::sort_project_simplex;
 /// Largest first-order residual an exact block solve may leave.
 constexpr double kExactResidual = 1e-9;
 
-Vec solve_lambda(const LambdaBlockInputs& in) {
+/// Solves from `warm` (the solver's previous iterate), or from zero.
+Vec solve_lambda(const LambdaBlockInputs& in, const Vec& warm = {}) {
   const std::size_t n = in.latency_row.size();
-  Vec warm(n, 0.0), out(n);
+  const Vec start = warm.empty() ? Vec(n, 0.0) : warm;
+  Vec out(n);
   BlockWorkspace ws;
-  solve_lambda_block_into(in, warm.span(), out.span(), ws);
+  solve_lambda_block_into(in, start.span(), out.span(), ws);
   return out;
 }
 
-Vec solve_a(const ABlockInputs& in) {
+Vec solve_a(const ABlockInputs& in, const Vec& warm = {}) {
   const std::size_t m = in.varphi_col.size();
-  Vec warm(m, 0.0), out(m);
+  const Vec start = warm.empty() ? Vec(m, 0.0) : warm;
+  Vec out(m);
   BlockWorkspace ws;
-  solve_a_block_into(in, warm.span(), out.span(), ws);
+  solve_a_block_into(in, start.span(), out.span(), ws);
   return out;
+}
+
+/// A warm start only picks where the root search begins, so every start
+/// must reach the zero start's minimizer to within the root tolerance.
+constexpr double kSameMinimizer = 1e-12;
+
+/// The four starts a block solve is checked from: zero, the exact
+/// minimizer, a random feasible point of total `total`, and the whole total
+/// on entry `far` (the far end of the search bracket).
+std::vector<std::pair<std::string, Vec>> warm_starts(const Vec& solution,
+                                                     double total,
+                                                     std::size_t far,
+                                                     Rng& rng) {
+  const std::size_t size = solution.size();
+  Vec random(size), extreme(size, 0.0);
+  double drawn = 0.0;
+  for (auto& v : random) {
+    v = rng.uniform(0.0, 1.0);
+    drawn += v;
+  }
+  for (auto& v : random) v *= total / drawn;
+  extreme[far] = total;
+  return {{"zero", Vec(size, 0.0)},
+          {"exact", solution},
+          {"random", random},
+          {"extreme", extreme}};
 }
 
 double lambda_block_objective(const LambdaBlockInputs& in, const Vec& lambda) {
@@ -205,9 +235,23 @@ TEST_P(LambdaBlockProperty, SatisfiesFirstOrderConditions) {
 
       const Vec solution = solve_lambda(in);
       expect_in_simplex(solution, in.arrival);
-      if (in.arrival > 0.0) {
-        EXPECT_LE(lambda_block_residual(in, solution), kExactResidual)
-            << utility->name() << " " << shape;
+      if (in.arrival <= 0.0) continue;
+      EXPECT_LE(lambda_block_residual(in, solution), kExactResidual)
+          << utility->name() << " " << shape;
+      // Every warm start, the worst-latency datacenter's included, reaches
+      // the same minimizer.
+      const auto row = in.latency_row;
+      const auto worst = static_cast<std::size_t>(
+          std::max_element(row.begin(), row.end()) - row.begin());
+      Rng warm_rng(GetParam() + 100);
+      for (const auto& [start, warm] :
+           warm_starts(solution, in.arrival, worst, warm_rng)) {
+        const Vec warm_solution = solve_lambda(in, warm);
+        EXPECT_LE(lambda_block_residual(in, warm_solution), kExactResidual)
+            << utility->name() << " " << shape << " from " << start;
+        EXPECT_LE(max_abs_diff(warm_solution, solution),
+                  kSameMinimizer * std::max(1.0, in.arrival))
+            << utility->name() << " " << shape << " from " << start;
       }
     }
   }
@@ -468,6 +512,19 @@ TEST_P(ABlockProperty, SatisfiesFirstOrderConditions) {
     }
     EXPECT_LE(total, in.capacity + 1e-12) << shape;
     EXPECT_LE(a_block_residual(in, solution), kExactResidual) << shape;
+
+    // Every warm start, the whole capacity on the last front-end (t0 = S)
+    // included, reaches the same minimizer.
+    Rng warm_rng(GetParam() + 100);
+    for (const auto& [start, warm] : warm_starts(
+             solution, in.capacity, solution.size() - 1, warm_rng)) {
+      const Vec warm_solution = solve_a(in, warm);
+      EXPECT_LE(a_block_residual(in, warm_solution), kExactResidual)
+          << shape << " from " << start;
+      EXPECT_LE(max_abs_diff(warm_solution, solution),
+                kSameMinimizer * std::max(1.0, in.capacity))
+          << shape << " from " << start;
+    }
 
     // Also beat a handful of random feasible points.
     const double f_star = a_block_objective(in, solution);

@@ -4,7 +4,10 @@
 // were captured from AdmgSolver before the AdmgEngine extraction and
 // re-captured once when the lambda and a blocks became exact solves
 // (admm/blocks.cpp): the iteration counts stayed, the values moved by the
-// inexactness of the former iterative inner solver.
+// inexactness of the former iterative inner solver. They were re-captured
+// once more when those blocks' root searches began starting at the
+// previous iterate: a search from another start stops at another point of
+// the same 1e-15-wide bracket, so only the last bits moved.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,9 +18,12 @@
 #include "admm/async.hpp"
 #include "admm/engine.hpp"
 #include "admm/options.hpp"
+#include "admm/strategy.hpp"
 #include "helpers.hpp"
 #include "net/runtime.hpp"
 #include "obs/metrics_observer.hpp"
+#include "sim/simulator.hpp"
+#include "traces/scenario.hpp"
 #include "util/config.hpp"
 #include "util/contract.hpp"
 
@@ -30,33 +36,30 @@ using ::ufc::testing::make_tiny_problem;
 // {lambda(0,0), lambda(0,1), lambda(1,0), lambda(1,1), mu[0], mu[1],
 //  nu[0], nu[1], a(0,0), a(1,1), varphi(0,1), phi[0], last_change}.
 constexpr std::array<std::array<double, 13>, 6> kStepBaselines = {{
-    {0x1.8af8af8af8af8p-1, 0x1.b6db6db6db6dcp-2, 0x1.38f3eb4a360a8p-3,
-     0x1.4b5c9ec70c16fp-1, 0x0p+0, 0x0p+0, 0x1.bc01aaaf913d4p-5,
-     0x1.03adb4922964ep-4, 0x1.859eb897a691p-1, 0x1.4677100e0fa3cp-1,
-     -0x1.87bc99cee3ffp-4, 0x1.bdf3b88a10965p+0, 0x1.859eb897a691p-1},
-    {0x1.d5d077a433f5p-1, 0x1.212bdd8464e2dp-2, 0x0p+0,
-     0x1.999999999999ap-1, 0x1.bc01aaaf913d4p-5, 0x1.03adb4922964ep-4,
-     0x1.df02ebab671p-13, 0x1.9e3b8dcbb1p-12, 0x1.d074b4d709d5dp-1,
-     0x1.94b0ef8cfd8aep-1, -0x1.8838dedfd44d8p-3, 0x1.be3e90fee35e6p+1,
-     0x1.38e77dfbb79c8p-3},
-    {0x1.0ae32f96e448dp+0, 0x1.42801ce277532p-3, 0x0p+0,
-     0x1.999999999999ap-1, 0x1.df02ebab671p-13, 0x1.9e3b8dcbb1p-12,
-     0x1.e974811a47007p-8, -0x1.e7b4a5a5fa17cp-8, 0x1.0817f0289034fp+0,
-     0x1.94eb75de4ee65p-1, -0x1.21b73a11c0295p-2, 0x1.5389461f20ea5p+2,
-     0x1.fddb09c21a09ap-4},
-    {0x1.2601a7ecd1386p+0, 0x1.a63168cc3f598p-5, 0x0p+0,
-     0x1.999999999999ap-1, 0x1.e974811a47007p-8, -0x1.e7b4a5a5fa17cp-8,
-     0x1.9f0dd38c956bdp-8, -0x1.9d920c0837c0bp-8, 0x1.231d8143b744ap+0,
-     0x1.951d16c10834bp-1, -0x1.7b7172fd1c0c1p-2, 0x1.cc00e64faf9bp+2,
-     0x1.b05a7e4904866p-4},
+    {0x1.8af8af8af8af8p-1, 0x1.b6db6db6db6dcp-2, 0x1.38f3eb4a361c4p-3,
+     0x1.4b5c9ec70c127p-1, 0x0p+0, 0x0p+0, 0x1.bc01aaaf91418p-5,
+     0x1.03adb4922962bp-4, 0x1.859eb897a691p-1, 0x1.4677100e0f9f4p-1,
+     -0x1.87bc99cee3fc8p-4, 0x1.bdf3b88a1097ap+0, 0x1.859eb897a691p-1},
+    {0x1.d5d077a433f4fp-1, 0x1.212bdd8464e2dp-2, 0x0p+0, 0x1.999999999999ap-1,
+     0x1.bc01aaaf91418p-5, 0x1.03adb4922962bp-4, 0x1.df02ebab62cp-13,
+     0x1.9e3b8dcbb32p-12, 0x1.d074b4d709d5cp-1, 0x1.94b0ef8cfd8aep-1,
+     -0x1.8838dedfd44d8p-3, 0x1.be3e90fee35f1p+1, 0x1.38e77dfbb7ae8p-3},
+    {0x1.0ae32f96e4483p+0, 0x1.42801ce27757ep-3, 0x0p+0, 0x1.999999999999ap-1,
+     0x1.df02ebab62cp-13, 0x1.9e3b8dcbb32p-12, 0x1.e974811a46f75p-8,
+     -0x1.e7b4a5a5fa0e4p-8, 0x1.0817f02890345p+0, 0x1.94eb75de4ee65p-1,
+     -0x1.21b73a11c029p-2, 0x1.5389461f20ea9p+2, 0x1.fddb09c219ffcp-4},
+    {0x1.2601a7ecd1388p+0, 0x1.a63168cc3f578p-5, 0x0p+0, 0x1.999999999999ap-1,
+     0x1.e974811a46f75p-8, -0x1.e7b4a5a5fa0e4p-8, 0x1.9f0dd38c95766p-8,
+     -0x1.9d920c0837caep-8, 0x1.231d8143b744bp+0, 0x1.951d16c10834bp-1,
+     -0x1.7b7172fd1c0bcp-2, 0x1.cc00e64faf9b4p+2, 0x1.b05a7e490491p-4},
     {0x1.3333333333333p+0, 0x0p+0, 0x0p+0, 0x1.999999999999ap-1,
-     0x1.9f0dd38c956bep-8, -0x1.9d920c0837c0bp-8, 0x1.93d9f6a97533dp-9,
-     -0x1.4f301cef54a92p-9, 0x1.3042eef5e6155p+0, 0x1.9531333da5edp-1,
-     -0x1.7b7172fd1c0c1p-2, 0x1.2338ab7a490f2p+3, 0x1.a4adb645da16p-5},
+     0x1.9f0dd38c95766p-8, -0x1.9d920c0837caep-8, 0x1.93d9f6a97535cp-9,
+     -0x1.4f301cef54a73p-9, 0x1.3042eef5e6157p+0, 0x1.9531333da5edp-1,
+     -0x1.7b7172fd1c0bcp-2, 0x1.2338ab7a490f4p+3, 0x1.a4adb645da18p-5},
     {0x1.3333333333333p+0, 0x0p+0, 0x0p+0, 0x1.999999999999ap-1,
-     0x1.93d9f6a97533dp-9, -0x1.4f301cef54a92p-9, 0x1.fp-57, -0x1.ep-58,
-     0x1.3042eef5e6156p+0, 0x1.9531333da5ecfp-1, -0x1.7b7172fd1c0c1p-2,
-     0x1.6070e3ccba50cp+3, 0x1.ebf3fb211ad84p-9},
+     0x1.93d9f6a97535cp-9, -0x1.4f301cef54a73p-9, -0x1.fp-57, -0x1.ep-58,
+     0x1.3042eef5e6156p+0, 0x1.9531333da5ecfp-1, -0x1.7b7172fd1c0bcp-2,
+     0x1.6070e3ccba50ep+3, 0x1.ebf3fb211aee9p-9},
 }};
 
 TEST(EngineEquivalence, PinnedIterateBaselines) {
@@ -99,7 +102,7 @@ TEST(EngineEquivalence, PinnedFullSolveReport) {
   ASSERT_EQ(report.trace.objective.size(), 62u);
   EXPECT_EQ(report.trace.balance_residual.front(), 0x1.eb851eb851eb8p-4);
   EXPECT_EQ(report.trace.copy_residual.front(), 0x1.567dbcd487ap-7);
-  EXPECT_EQ(report.trace.objective.front(), -0x1.b8d8138baa51p+4);
+  EXPECT_EQ(report.trace.objective.front(), -0x1.b8d8138baa514p+4);
   EXPECT_EQ(report.trace.balance_residual.back(), report.balance_residual);
   EXPECT_EQ(report.trace.copy_residual.back(), report.copy_residual);
   EXPECT_EQ(report.trace.objective.back(), report.breakdown.ufc);
@@ -291,6 +294,36 @@ TEST(EngineTelemetry, PhaseProfilesAreCoherentWhenEnabled) {
     EXPECT_GE(sample.phases.correction_seconds, 0.0);
     EXPECT_GE(sample.phases.gate_seconds, 0.0);
     EXPECT_GE(sample.wall_seconds, 0.0);
+  }
+}
+
+// The block solvers' probe counts on paper hour 64 (Hybrid, the simulator's
+// options): work counts, so they are equal for every thread count, and
+// pinned so a change to where the lambda and a root searches start shows
+// up here.
+TEST(EngineTelemetry, BlockProbeCountsArePinned) {
+  const UfcProblem problem = traces::Scenario::generate({}).problem_at(64);
+  for (const int threads : {1, 4}) {
+    obs::MetricsRegistry registry;
+    obs::MetricsObserver observer(registry);
+    AdmgOptions options = sim::SimulatorOptions{}.admg;
+    options.observer = &observer;
+    options.profile_phases = true;
+    options.threads = threads;
+
+    const AdmgReport report =
+        solve_strategy(problem, Strategy::Hybrid, options);
+    EXPECT_EQ(report.iterations, 109) << "threads=" << threads;
+    const auto count = [&](const char* name) {
+      const obs::Counter* counter = registry.find_counter(name);
+      return counter != nullptr ? counter->value() : 0u;
+    };
+    // Over 1,090 lambda solves (10 front-ends) and 436 a solves (4
+    // datacenters).
+    EXPECT_EQ(count("solver.block.lambda_probes"), 3797u)
+        << "threads=" << threads;
+    EXPECT_EQ(count("solver.block.a_probes"), 1292u)
+        << "threads=" << threads;
   }
 }
 

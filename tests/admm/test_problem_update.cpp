@@ -271,6 +271,44 @@ TEST(ProblemUpdateTest, WarmSolveMatchesColdSolveAfterPriceInversion) {
               1e-3 * std::max(1.0, cold.breakdown.fuel_cell_mwh));
 }
 
+// A front-end idle before the update has an all-zero lambda row, so its
+// block's root search has no previous s to start from and starts at the
+// mean latency instead. The warm re-solve must still reach the cold plan.
+TEST(ProblemUpdateTest, FrontEndWakingFromZeroArrivalMatchesColdSolve) {
+  UfcProblem idle = make_random_problem(23, 5, 3);
+  const double arrival = idle.arrivals[2];
+  idle.arrivals[2] = 0.0;
+
+  AdmgOptions options;
+  options.record_trace = false;
+  AdmgSolver solver(idle, options);
+  ASSERT_TRUE(solver.solve().converged);
+  for (std::size_t j = 0; j < idle.num_datacenters(); ++j)
+    ASSERT_EQ(solver.lambda()(2, j), 0.0);
+
+  ProblemUpdate wake;
+  wake.arrivals.emplace_back(2, arrival);
+  solver.apply_update(wake);
+  const AdmgReport warm = solver.solve_warm();
+  ASSERT_TRUE(warm.converged);
+
+  UfcProblem woken = idle;
+  woken.arrivals[2] = arrival;
+  const AdmgReport cold = solve_admg(woken, options);
+  ASSERT_TRUE(cold.converged);
+
+  EXPECT_NEAR(warm.breakdown.ufc, cold.breakdown.ufc,
+              1e-3 * std::abs(cold.breakdown.ufc));
+  // The plan itself, in servers: every route within 0.1% of the woken
+  // front-end's arrivals.
+  EXPECT_LT(max_abs_diff(warm.solution.lambda, cold.solution.lambda),
+            1e-3 * arrival);
+  double routed = 0.0;
+  for (std::size_t j = 0; j < woken.num_datacenters(); ++j)
+    routed += warm.solution.lambda(2, j);
+  EXPECT_NEAR(routed, arrival, 1e-3 * arrival);
+}
+
 /// Budget options: a tolerance far below reach so every run spends its full
 /// iteration allowance, making trajectories comparable step for step.
 AdmgOptions never_converge_options() {

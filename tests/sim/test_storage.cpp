@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/storage.hpp"
 #include "util/contract.hpp"
 
@@ -144,6 +146,22 @@ TEST(OptimalStorage, EnergyBooksBalance) {
   }
   EXPECT_LE(discharged,
             charged * optimal.battery.round_trip_efficiency + 1e-9);
+}
+
+TEST(StorageExtension, RoundingResidueIsNotARunningSource) {
+  // A fuel-cell dispatch of +-1e-14 MW beside 3 MW of grid draw is residue
+  // of the solve: a discharge is worth the grid price, as with none at all.
+  constexpr double kEff = 40.0;
+  constexpr double kP0 = 80.0;
+  EXPECT_EQ(discharge_value(3.0, 0.0, kEff, kP0), kEff);
+  for (const double residue : {1e-14, -1e-14}) {
+    EXPECT_EQ(discharge_value(3.0, residue, kEff, kP0), kEff) << residue;
+    EXPECT_EQ(discharge_value(residue, 3.0, kEff, kP0), kP0) << residue;
+  }
+  // Real generation on both sides: the priciest source sets the value.
+  EXPECT_EQ(discharge_value(3.0, 0.5, kEff, kP0), std::max(kEff, kP0));
+  EXPECT_EQ(discharge_value(3.0, 0.5, 95.0, kP0), 95.0);
+  EXPECT_EQ(discharge_value(0.0, 0.0, kEff, kP0), 0.0);
 }
 
 TEST(StorageExtension, InvalidQuantilesThrow) {
