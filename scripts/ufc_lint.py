@@ -667,18 +667,20 @@ def check_global_state(tree: Tree):
 # ---------------------------------------------------------------------------
 # The per-iteration hot path: AdmgSolver::step, the datacenter pass it calls,
 # the datacenter procedures that pass shares with net::DatacenterAgent, the
-# two block solvers the passes call once per row or column, the root finder
-# every lambda, a and nu probe runs (both forms and their shared Illinois
-# loop, header templates in opt/scalar.hpp), and the message-passing
-# runtime's round, whose coordinator folds per-datacenter scalars instead of
-# gathering the iterate. Every Mat/Vec they need lives in workspaces sized
+# two block solvers the passes call once per row or column with their
+# helpers (the lambda block's model step and the a block's scan), the root
+# finder every lambda and nu probe runs (both forms, header templates in
+# opt/scalar.hpp), and the message-passing runtime's round, whose
+# coordinator folds per-datacenter scalars instead of gathering the
+# iterate. Every Mat/Vec they need lives in workspaces sized
 # once in reset() (or by the agent's constructor) or grown on the first
 # block solve. (The no-argument AdmgSolver::step() is inline in
 # admm/admg.hpp and only forwards to step(int).)
 HOT_PATH = ("AdmgSolver::step", "AdmgSolver::run_full_datacenter_pass",
             "predict_datacenter", "correct_datacenter",
             "solve_lambda_block_into", "solve_a_block_into",
-            "monotone_root", "monotone_root_from", "illinois_root",
+            "lambda_model_step", "a_block_scan",
+            "monotone_root", "monotone_root_from",
             "DistributedAdmgRuntime::step")
 # The iteration loop itself. It is exception-free like the hot path, but
 # not allocation-free: it packages the report once, after the loop.
@@ -1219,18 +1221,19 @@ HOT_PATH_SOLVER = "void AdmgSolver::step(int iteration) {\n  run();\n}\n"
 HOT_PATH_BLOCKS = ("void solve_lambda_block_into(const LambdaBlockInputs& in) {\n"
                    "  run(in);\n}\n"
                    "void solve_a_block_into(const ABlockInputs& in) {\n"
-                   "  run(in);\n}\n")
+                   "  run(in);\n}\n"
+                   "double lambda_model_step(const LambdaBlockInputs& in) {\n"
+                   "  return run(in);\n}\n"
+                   "double a_block_scan(const ABlockInputs& in) {\n"
+                   "  return run(in);\n}\n")
 HOT_PATH_ROOTS = ("#pragma once\n"
                   "template <typename G>\n"
-                  "double illinois_root(G& g, double lo, double hi) {\n"
-                  "  return g(lo);\n}\n"
-                  "template <typename G>\n"
                   "double monotone_root(G&& g, double lo, double hi) {\n"
-                  "  return illinois_root(g, lo, hi);\n}\n"
-                  "template <typename G>\n"
-                  "double monotone_root_from(G&& g, double x0, double lo,\n"
-                  "                          double hi) {\n"
-                  "  return illinois_root(g, x0, hi);\n}\n")
+                  "  return g(lo) + hi;\n}\n"
+                  "template <typename G, typename Model>\n"
+                  "double monotone_root_from(G&& g, Model&& model, double x0,\n"
+                  "                          double lo, double hi) {\n"
+                  "  return model(x0, g(lo)) + hi;\n}\n")
 DATACENTER_PASS = "void AdmgSolver::run_full_datacenter_pass() {\n  run();\n}\n"
 HOT_PATH_RUNTIME = ("void DistributedAdmgRuntime::step(int iteration) {\n"
                     "  exchange(iteration);\n}\n")
@@ -1358,6 +1361,15 @@ FIXTURES = [
       "DatacenterPrediction predict_datacenter(std::span<const double> a) {\n"
       "  Vec column(a);\n  return run(column);\n}\n"},
      ["predict_datacenter"]),
+    # The block solvers' helpers run once per probe or column, inside an
+    # anonymous namespace.
+    ("no_alloc_in_block_helper_flagged", "no-alloc-in-step",
+     {"src/admm/blocks.cpp":
+      "namespace {\n"
+      "double a_block_scan(const ABlockInputs& in, std::span<double> b) {\n"
+      "  Vec kept(b.size());\n  return scan(in, kept);\n}\n"
+      "}  // namespace\n"},
+     ["a_block_scan"]),
     # The root finder is a header template; its probes run inside every
     # block solve, so a vector built there allocates once per solve.
     ("no_alloc_in_header_root_finder_flagged", "no-alloc-in-step",

@@ -62,11 +62,11 @@ void AdmgSolver::reset() {
   a_t_ = Mat(n_, m_, 0.0);
   varphi_t_ = Mat(n_, m_, 0.0);
   a_col_sum_post_.resize(n_);
-  post_sums_fresh_ = false;
+  gate_fresh_ = false;
   participate_.assign(m_, 1);
   scratch_.resize(pool_.thread_count());
   for (auto& ws : scratch_) ws.a_new.resize(m_);
-  chunk_change_.assign(pool_.thread_count(), 0.0);
+  chunk_folds_.assign(pool_.thread_count(), ChunkFold{});
   chunk_profiles_.assign(pool_.thread_count(), PhaseProfile{});
 }
 
@@ -95,8 +95,8 @@ void AdmgSolver::set_iterate(std::span<const double> values) {
   std::copy(src, src + nu_.size(), nu_.data());
   src += nu_.size();
   std::copy(src, src + phi_.size(), phi_.data());
-  // The maintained column sums described the stepped iterate.
-  post_sums_fresh_ = false;
+  // The gate's folds described the stepped iterate.
+  gate_fresh_ = false;
 }
 
 void AdmgSolver::clamp_iterate(std::span<double> values) const {
@@ -125,9 +125,8 @@ double AdmgSolver::balance_residual() const {
   for (std::size_t j = 0; j < n_; ++j) {
     // The maintained post-correction sums are bitwise equal to col_sum
     // (same increasing-i addition order); the fallback only runs before the
-    // first step or right after restore().
-    const double col_sum =
-        post_sums_fresh_ ? a_col_sum_post_[j] : a_.col_sum(j);
+    // first step or after the iterate was replaced.
+    const double col_sum = gate_fresh_ ? a_col_sum_post_[j] : a_.col_sum(j);
     const double balance = problem_.alpha_mw(j) +
                            problem_.beta_mw(j) * col_sum - mu_[j] -
                            nu_[j];
@@ -137,7 +136,7 @@ double AdmgSolver::balance_residual() const {
 }
 
 double AdmgSolver::copy_residual() const {
-  return max_abs_diff(a_, lambda_);
+  return gate_fresh_ ? copy_residual_post_ : max_abs_diff(a_, lambda_);
 }
 
 double AdmgSolver::objective() const {
@@ -216,7 +215,7 @@ void AdmgSolver::step(int /*iteration*/) {
   // ---- Steps 1.2-1.5 + step 2, fused per datacenter. Each column task
   // reads only iteration-k state of its own column (plus lambda~, finalized
   // above), so tasks are independent.
-  std::fill(chunk_change_.begin(), chunk_change_.end(), 0.0);
+  std::fill(chunk_folds_.begin(), chunk_folds_.end(), ChunkFold{});
   run_full_datacenter_pass();
 
   if (profile_) {
@@ -226,7 +225,7 @@ void AdmgSolver::step(int /*iteration*/) {
       profile_last_.prediction_seconds += chunk.prediction_seconds;
       profile_last_.correction_seconds += chunk.correction_seconds;
       profile_last_.lambda_probes += chunk.lambda_probes;
-      profile_last_.a_probes += chunk.a_probes;
+      profile_last_.a_passes += chunk.a_passes;
     }
   }
 
@@ -235,33 +234,46 @@ void AdmgSolver::step(int /*iteration*/) {
   // rewrites every row.
   std::swap(lambda_, lambda_tilde_);
 
-  // max is exact and order-insensitive, so the cross-chunk reduction is
-  // bit-identical for every chunking.
+  // max and && are exact and order-insensitive, so the cross-chunk
+  // reductions are bit-identical for every chunking.
   double change = 0.0;
-  for (double c : chunk_change_) change = std::max(change, c);
+  double copy = 0.0;
+  bool finite = true;
+  for (const ChunkFold& fold : chunk_folds_) {
+    change = std::max(change, fold.change);
+    copy = std::max(copy, fold.copy);
+    finite = finite && fold.finite;
+  }
   last_change_ = change;
-  post_sums_fresh_ = true;
+  copy_residual_post_ = copy;
+  finite_post_ = finite;
+  gate_fresh_ = true;
   stepped_ = true;
 }
 
 // Fused per-datacenter prediction + correction (steps 1.2-1.5 + step 2) over
-// the transposed mirrors: each column task reads and writes contiguous rows
-// of the N x M transposes instead of gathering/scattering strided columns of
-// the row-major primaries. Values and evaluation order are identical to the
-// former col_into/set_col formulation bit for bit — only the memory layout
-// changed.
+// the transposed mirrors: each chunk transposes its own column stripe of
+// varphi, lambda~ and a into contiguous rows of the N x M mirrors, runs its
+// columns there, and transposes the corrected varphi and a stripes back.
+// Chunks touch disjoint entries of every matrix, so nothing of the pass runs
+// serially. Values and evaluation order are identical to the former
+// col_into/set_col formulation bit for bit — only the memory layout changed.
 void AdmgSolver::run_full_datacenter_pass() {
   using util::monotonic_now;
   using util::MonotonicTick;
   using util::seconds_between;
-  varphi_.transpose_into(varphi_t_);
-  lambda_tilde_.transpose_into(lambda_tilde_t_);
-  a_.transpose_into(a_t_);
-
   pool_.parallel_for_chunks(
       0, n_, [&](std::size_t begin, std::size_t end, std::size_t c) {
+        const auto chunk_started = profile_ ? monotonic_now() : MonotonicTick{};
+        varphi_.transpose_block_into(varphi_t_, 0, m_, begin, end);
+        lambda_tilde_.transpose_block_into(lambda_tilde_t_, 0, m_, begin, end);
+        a_.transpose_block_into(a_t_, 0, m_, begin, end);
+        if (profile_)
+          chunk_profiles_[c].prediction_seconds +=
+              seconds_between(chunk_started, monotonic_now());
+
         WorkerScratch& ws = scratch_[c];
-        double change = 0.0;
+        ChunkFold fold;
         for (std::size_t j = begin; j < end; ++j) {
           const auto column_started =
               profile_ ? monotonic_now() : MonotonicTick{};
@@ -281,8 +293,8 @@ void AdmgSolver::run_full_datacenter_pass() {
           if (profile_) {
             chunk_profiles_[c].prediction_seconds +=
                 seconds_between(column_started, correction_started);
-            chunk_profiles_[c].a_probes +=
-                static_cast<std::uint64_t>(predicted.a_probes);
+            chunk_profiles_[c].a_passes +=
+                static_cast<std::uint64_t>(predicted.a_passes);
           }
 
           // Step 2 (or the plain-ADMM acceptance when gbs is off), applied
@@ -293,24 +305,39 @@ void AdmgSolver::run_full_datacenter_pass() {
           // side instead; here the column pass owns it.
           correct_varphi_block(varphi_col, ws.a_new.span(), lambda_col,
                                rule_);
-          change = std::max(
-              change, correct_datacenter(dc, rule_, predicted, ws.a_new.span(),
-                                         a_col, mu_[j], nu_[j], phi_[j]));
-          // Post-correction column sum in increasing-i order: bitwise equal
-          // to Mat::col_sum on the transposed-back primary.
+          fold.change = std::max(
+              fold.change,
+              correct_datacenter(dc, rule_, predicted, ws.a_new.span(), a_col,
+                                 mu_[j], nu_[j], phi_[j]));
+          // The gate's folds over the corrected column: its sum in
+          // increasing-i order (bitwise equal to Mat::col_sum on the
+          // transposed-back primary), its copy residual against lambda~
+          // (the next lambda) and its finiteness.
           double col_total = 0.0;
-          for (std::size_t i = 0; i < m_; ++i) col_total += a_col[i];
+          for (std::size_t i = 0; i < m_; ++i) {
+            col_total += a_col[i];
+            fold.copy = std::max(fold.copy, std::abs(a_col[i] - lambda_col[i]));
+          }
           a_col_sum_post_[j] = col_total;
+          fold.finite = fold.finite && all_finite(a_col) &&
+                        all_finite(lambda_col) && all_finite(varphi_col) &&
+                        std::isfinite(mu_[j]) && std::isfinite(nu_[j]) &&
+                        std::isfinite(phi_[j]);
 
           if (profile_)
             chunk_profiles_[c].correction_seconds +=
                 seconds_between(correction_started, monotonic_now());
         }
-        chunk_change_[c] = change;
-      });
 
-  varphi_t_.transpose_into(varphi_);
-  a_t_.transpose_into(a_);
+        const auto stripe_out_started =
+            profile_ ? monotonic_now() : MonotonicTick{};
+        varphi_t_.transpose_block_into(varphi_, begin, end, 0, m_);
+        a_t_.transpose_block_into(a_, begin, end, 0, m_);
+        if (profile_)
+          chunk_profiles_[c].correction_seconds +=
+              seconds_between(stripe_out_started, monotonic_now());
+        chunk_folds_[c] = fold;
+      });
 }
 
 void AdmgSolver::apply_update(const ProblemUpdate& update) {
@@ -370,11 +397,11 @@ void AdmgSolver::apply_update(const ProblemUpdate& update) {
   }
 
   // Invalidate everything that described the pre-update problem: residual
-  // scales, the convergence-certification gate (stepped_) and the cached
-  // post-correction column sums.
+  // scales, the convergence-certification gate (stepped_) and the gate's
+  // folds.
   scales_ = residual_scales(problem_);
   stepped_ = false;
-  post_sums_fresh_ = false;
+  gate_fresh_ = false;
   // A shrunken cap can leave the warm mu_j outside the new primal box.
   repair_iterate_bounds();
 }
@@ -404,10 +431,12 @@ void AdmgSolver::repair_iterate_bounds() {
 }
 
 bool AdmgSolver::iterate_finite() const {
-  return all_finite(lambda_.raw()) && all_finite(a_.raw()) &&
-         all_finite(varphi_.raw()) && all_finite(mu_.span()) &&
-         all_finite(nu_.span()) && all_finite(phi_.span()) &&
-         std::isfinite(last_change_);
+  const bool blocks_finite =
+      gate_fresh_ ? finite_post_
+                  : all_finite(lambda_.raw()) && all_finite(a_.raw()) &&
+                        all_finite(varphi_.raw()) && all_finite(mu_.span()) &&
+                        all_finite(nu_.span()) && all_finite(phi_.span());
+  return blocks_finite && std::isfinite(last_change_);
 }
 
 std::vector<std::byte> AdmgSolver::checkpoint() const {
@@ -446,8 +475,8 @@ void AdmgSolver::restore(std::span<const std::byte> bytes) {
   wire::read_f64s(bytes, offset, nu_.span());
   wire::read_f64s(bytes, offset, phi_.span());
   UFC_EXPECTS(offset == bytes.size());
-  // The cached column sums describe the pre-restore iterate.
-  post_sums_fresh_ = false;
+  // The gate's folds describe the pre-restore iterate.
+  gate_fresh_ = false;
 }
 
 AdmgReport AdmgSolver::solve() {

@@ -94,6 +94,9 @@ class AdmgSolver : public BlockExecutor {
     return profile_ ? &profile_last_ : nullptr;
   }
   /// Residuals of the current iterate (normalized workload units / MW).
+  /// After a step both read values the datacenter pass folded per column;
+  /// after set_iterate, restore, apply_update or reset they scan the
+  /// iterate.
   double balance_residual() const override;
   double copy_residual() const override;
   /// Largest per-variable movement of the last step (the ADMM dual-residual
@@ -102,7 +105,8 @@ class AdmgSolver : public BlockExecutor {
   double balance_scale() const override { return scales_.balance; }
   double copy_scale() const override { return scales_.copy; }
   double objective() const override;
-  /// True iff every entry of every block (primal and dual) is finite.
+  /// True iff every entry of every block (primal and dual) is finite; cached
+  /// by the datacenter pass like the residuals.
   bool iterate_finite() const override;
   double workload_scale() const override { return sigma_; }
   const UfcProblem& original_problem() const override { return original_; }
@@ -164,6 +168,14 @@ class AdmgSolver : public BlockExecutor {
     BlockWorkspace blocks;
     Vec a_new;  ///< a~ prediction for one column (M).
   };
+  /// What one chunk of the datacenter pass folds over its columns, read
+  /// back in chunk order after the pass. max and && are exact and
+  /// order-insensitive, so the folds are bit-identical for every chunking.
+  struct ChunkFold {
+    double change = 0.0;  ///< Largest a/nu/mu movement.
+    double copy = 0.0;    ///< max_ij |a_ij - lambda~_ij| after correction.
+    bool finite = true;   ///< Every corrected entry of its columns finite.
+  };
 
   /// Projects the warm iterate through clamp_iterate when apply_update left
   /// it outside the primal box (a shrunken fuel-cell cap). No-op — and no
@@ -196,24 +208,30 @@ class AdmgSolver : public BlockExecutor {
   util::ThreadPool pool_;
   Mat lambda_tilde_;                   ///< Swapped with lambda_ each step.
   std::vector<WorkerScratch> scratch_; ///< One per pool thread.
-  std::vector<double> chunk_change_;   ///< Per-chunk last-change maxima.
+  std::vector<ChunkFold> chunk_folds_;  ///< One per pool thread.
 
-  // Transposed mirrors (N x M) for the fused datacenter pass: the pass works
-  // on contiguous rows of these instead of striding the row-major primaries,
-  // then transposes the corrected state back (cache-blocked both ways).
+  // Transposed mirrors (N x M) for the fused datacenter pass: each chunk
+  // transposes its own column stripe in, works on contiguous rows of these
+  // instead of striding the row-major primaries, and transposes the
+  // corrected stripe back (cache-blocked both ways).
   Mat lambda_tilde_t_, a_t_, varphi_t_;
-  /// Post-correction a column sums, maintained by the datacenter pass in
-  /// increasing-i order (bitwise equal to Mat::col_sum) so balance_residual
-  /// stops re-striding a_ every iteration.
+  /// The convergence gate's passes, folded by the datacenter pass so the
+  /// engine's reads cost O(N) or O(1) instead of O(MN): the post-correction
+  /// a column sums (increasing-i order, bitwise equal to Mat::col_sum), the
+  /// copy residual (bitwise max_abs_diff(a_, lambda_)) and the finiteness of
+  /// lambda, a, varphi, mu, nu and phi. Valid while gate_fresh_.
   Vec a_col_sum_post_;
-  bool post_sums_fresh_ = false;
+  double copy_residual_post_ = 0.0;
+  bool finite_post_ = true;
+  bool gate_fresh_ = false;
 
   // Phase profiling (set_phase_profiling). The fused datacenter pass splits
-  // its time per column into prediction vs correction; both passes count
-  // their block solvers' probes. Each chunk accumulates into its own
-  // profile (prediction/correction seconds and probe counts), summed in
-  // chunk order afterwards — deterministic bookkeeping around unchanged
-  // arithmetic.
+  // its time into prediction (the chunk's transposes in and each column's
+  // blocks) and correction (each column's correction and gate folds, and
+  // the transposes out); both passes count their block solvers' work. Each
+  // chunk accumulates into its own profile (seconds and work counts),
+  // summed in chunk order afterwards — deterministic bookkeeping around
+  // unchanged arithmetic.
   bool profile_ = false;
   PhaseProfile profile_last_;
   std::vector<PhaseProfile> chunk_profiles_;

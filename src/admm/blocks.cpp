@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "math/projections.hpp"
 #include "opt/scalar.hpp"
@@ -9,6 +10,125 @@
 #include "util/restrict.hpp"
 
 namespace ufc::admm {
+
+namespace {
+
+/// Secant steps the lambda block's model step takes at most.
+constexpr int kModelSecantSteps = 8;
+
+/// The lambda block's next probe after a probe at s left lambda(s) in
+/// `lambda`, with g(s) = s - L . lambda(s) and the pull p(s) it projected at.
+/// On the support S of lambda(s), lambda_j = base_j + p L_j - tau with tau
+/// fixed by sum_S lambda_j = A, so the routed latency is affine in the pull:
+///   L . lambda(y) = L . lambda(s) + v (p(y) - p(s)),
+///   v = sum_S L_j^2 - (sum_S L_j)^2 / |S| >= 0,
+/// for every y whose projection keeps the support S. The model's root,
+/// y = L . lambda(s) + v (p(y) - p(s)), lies between s and the slope-1
+/// point s - g(s) (the model equation has slope at least 1, like g); it is
+/// found by secant steps from those two points, which calls u' only and
+/// needs no projection, and is exact after one step when u' is affine (the
+/// quadratic and linear utilities). The support sums are centred on the
+/// row's mean latency, which keeps v's cancellation small.
+double lambda_model_step(const LambdaBlockInputs& in,
+                         std::span<const double> lambda, double latency_mean,
+                         double s, double g_s, double pull_s) {
+  double support = 0.0;
+  double first = 0.0;
+  double second = 0.0;
+  for (std::size_t j = 0; j < lambda.size(); ++j) {
+    if (lambda[j] > 0.0) {
+      const double d = in.latency_row[j] - latency_mean;
+      support += 1.0;
+      first += d;
+      second += d * d;
+    }
+  }
+  const double v =
+      support > 0.0 ? std::max(0.0, second - first * first / support) : 0.0;
+  const double routed = s - g_s;
+  const double weight = in.latency_weight / in.rho;
+  auto h = [&](double y) {
+    return y - routed -
+           v * (weight * in.utility->derivative(y / in.arrival) - pull_s);
+  };
+  double y0 = s;
+  double h0 = g_s;
+  double y1 = routed;
+  double h1 = h(y1);
+  for (int k = 0; k < kModelSecantSteps; ++k) {
+    // ufc-lint: allow(float-equal) — exact guards: y1 is the model's root,
+    // or the secant through the two points is flat.
+    if (h1 == 0.0 || h1 == h0) break;
+    const double step = h1 * (y1 - y0) / (h1 - h0);
+    y0 = y1;
+    h0 = h1;
+    y1 -= step;
+    if (std::abs(step) <= kRootTolerance * (1.0 + std::abs(y1))) break;
+    h1 = h(y1);
+  }
+  return y1;
+}
+
+/// The a block's scan (eq. (20)): writes b = lambda - varphi / rho - shift
+/// into `b` and returns the root t = S_K / (1 + |K| beta^2) of the uncapped
+/// equation, S_K = sum_K b_i over the support K = {i : b_i > beta^2 t}, or
+/// the first t of a kept set above `in.capacity`, which proves the cap
+/// binds (t only grows toward the root as the sweeps drop entries).
+///
+/// The scan keeps each b_i above the running threshold beta^2 S / (1 + k
+/// beta^2) of the k entries kept so far (summing to S). A kept entry raises
+/// that threshold, which never passes the final beta^2 t (the support
+/// maximizes it), so a skipped entry is never in K. Michelot sweeps over
+/// the kept entries then drop those at or below the threshold, which only
+/// grows as entries drop, until the smallest survivor is above it: no sort
+/// and no start point. `candidates` holds the kept entries.
+double a_block_scan(const ABlockInputs& in, std::span<double> b,
+                    std::vector<double>& candidates) {
+  const std::size_t m = b.size();
+  if (candidates.size() < m) candidates.resize(m);
+  double* UFC_RESTRICT kept = candidates.data();
+  const double* UFC_RESTRICT lam = in.lambda_col.data();
+  const double* UFC_RESTRICT varphi = in.varphi_col.data();
+  const double shift = in.beta * (in.phi / in.rho + in.alpha - in.mu - in.nu);
+  const double beta_sq = in.beta * in.beta;
+  std::size_t count = 0;
+  double total = 0.0;
+  double smallest = std::numeric_limits<double>::infinity();
+  // The running threshold as the ratio beta^2 S / (1 + k beta^2), compared
+  // without a division per entry.
+  double scaled_total = 0.0;
+  double scaled_count = 1.0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const double value = lam[i] - varphi[i] / in.rho - shift;
+    b[i] = value;
+    if (value * scaled_count > scaled_total) {
+      smallest = std::min(smallest, value);
+      kept[count++] = value;
+      total += value;
+      scaled_total += beta_sq * value;
+      scaled_count += beta_sq;
+    }
+  }
+  for (;;) {
+    const double t = total / (1.0 + static_cast<double>(count) * beta_sq);
+    const double threshold = beta_sq * t;
+    if (count == 0 || t > in.capacity || smallest > threshold) return t;
+    const std::size_t before = count;
+    count = 0;
+    total = 0.0;
+    smallest = std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < before; ++k) {
+      const double value = kept[k];
+      if (value > threshold) {
+        smallest = std::min(smallest, value);
+        kept[count++] = value;
+        total += value;
+      }
+    }
+  }
+}
+
+}  // namespace
 
 int solve_lambda_block_into(const LambdaBlockInputs& in,
                             std::span<const double> warm_start,
@@ -51,26 +171,31 @@ int solve_lambda_block_into(const LambdaBlockInputs& in,
     warm_sum += warm[j];
     warm_routed += warm[j] * lat[j];
   }
+  const double lat_mean = lat_sum / static_cast<double>(n);
   // The search starts at the previous iterate's s = L . lambda, rescaled to
   // this arrival, or at the mean latency when that row routes nothing (the
   // cold start, or a front-end whose arrivals were zero).
-  const double start =
-      warm_sum > 0.0 ? in.arrival * warm_routed / warm_sum
-                     : in.arrival * lat_sum / static_cast<double>(n);
+  const double start = warm_sum > 0.0 ? in.arrival * warm_routed / warm_sum
+                                      : in.arrival * lat_mean;
   const double weight = in.latency_weight / in.rho;
-  // Each probe leaves lambda(s) in out; the root search returns at its last
-  // probe, so out ends at the root.
+  // Each probe leaves lambda(s) in out and its pull in `pull`; the root
+  // search returns at its last probe, so out ends at the root.
   int probes = 0;
+  double pull = 0.0;
   auto gap = [&](double s) {
     ++probes;
-    const double pull = weight * in.utility->derivative(s / in.arrival);
+    pull = weight * in.utility->derivative(s / in.arrival);
     for (std::size_t j = 0; j < n; ++j) out[j] = base[j] + pull * lat[j];
     project_simplex_into(out, in.arrival, out, ws.scratch);
     double routed = 0.0;
     for (std::size_t j = 0; j < n; ++j) routed += out[j] * lat[j];
     return s - routed;
   };
-  monotone_root_from(gap, start, in.arrival * lat_min, in.arrival * lat_max);
+  auto model = [&](double s, double g_s) {
+    return lambda_model_step(in, out, lat_mean, s, g_s, pull);
+  };
+  monotone_root_from(gap, model, start, in.arrival * lat_min,
+                     in.arrival * lat_max);
   return probes;
 }
 
@@ -107,7 +232,7 @@ double solve_nu_block(const NuBlockInputs& in) {
 }
 
 int solve_a_block_into(const ABlockInputs& in,
-                       std::span<const double> warm_start,
+                       std::span<const double> /*warm_start*/,
                        std::span<double> out, BlockWorkspace& ws,
                        const InnerSolverOptions& /*options*/) {
   UFC_EXPECTS(in.rho > 0.0);
@@ -115,35 +240,21 @@ int solve_a_block_into(const ABlockInputs& in,
   const std::size_t m = in.varphi_col.size();
   UFC_EXPECTS(m > 0);
   UFC_EXPECTS(in.lambda_col.size() == m);
-  UFC_EXPECTS(warm_start.size() == m);
   UFC_EXPECTS(out.size() == m);
 
-  // a(t) = P(base - beta^2 t), base = lambda - varphi / rho - shift.
-  const double shift = in.beta * (in.phi / in.rho + in.alpha - in.mu - in.nu);
-  ws.base.resize(m);
-  double* UFC_RESTRICT base = ws.base.data();
-  const double* UFC_RESTRICT lam = in.lambda_col.data();
-  const double* UFC_RESTRICT varphi = in.varphi_col.data();
-  const double* UFC_RESTRICT warm = warm_start.data();
-  // The search starts at the previous iterate's t = sum_i a_i.
-  double start = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    base[i] = lam[i] - varphi[i] / in.rho - shift;
-    start += warm[i];
+  // a(t) = P(b - beta^2 t); the scan leaves b in out.
+  const double t = a_block_scan(in, out, ws.scratch);
+  if (t > in.capacity) {
+    // The cap binds: the root is t = S_j, where a = P(b - beta^2 S_j) sums
+    // to the cap, i.e. the simplex projection of b at total S_j (a common
+    // shift of every entry moves no projection). A second pass.
+    project_simplex_into(out, in.capacity, out, ws.scratch);
+    return 2;
   }
-  const double beta_sq = in.beta * in.beta;
-  // As in the lambda block, out ends at the root's projection.
-  int probes = 0;
-  auto gap = [&](double t) {
-    ++probes;
-    for (std::size_t i = 0; i < m; ++i) out[i] = base[i] - beta_sq * t;
-    project_capped_simplex_into(out, in.capacity, out, ws.scratch);
-    double assigned = 0.0;
-    for (std::size_t i = 0; i < m; ++i) assigned += out[i];
-    return t - assigned;
-  };
-  monotone_root_from(gap, start, 0.0, in.capacity);
-  return probes;
+  const double threshold = in.beta * in.beta * t;
+  for (std::size_t i = 0; i < m; ++i)
+    out[i] = std::max(out[i] - threshold, 0.0);
+  return 1;
 }
 
 // ufc-lint: allow(expects-reach) — pure arithmetic on scalars already

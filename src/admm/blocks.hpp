@@ -31,9 +31,10 @@ struct InnerSolverOptions {};
 /// larger of the row and column lengths and are never reallocated after:
 /// Vec::resize and std::vector::resize keep capacity when shrinking.
 struct BlockWorkspace {
-  /// The part of the projected point that no probe changes.
+  /// The part of the lambda block's projected point that no probe changes.
   Vec base;
-  /// The simplex projection's candidate lists.
+  /// The simplex projection's candidate lists, and the a block's kept
+  /// entries.
   std::vector<double> scratch;
 };
 
@@ -49,7 +50,9 @@ struct BlockWorkspace {
 // at the s with L_i . lambda(s) = s. For concave u the left side falls as s
 // grows, so g(s) = s - L_i . lambda(s) has slope at least 1 and one root on
 // [A_i min L_i, A_i max L_i]; monotone_root_from (opt/scalar.hpp) finds it
-// with one projection per probe, starting at the previous iterate's s.
+// with one projection per probe, starting at the previous iterate's s. Its
+// model step is the root of the equation on the last probe's projection
+// support, where L_i . lambda is affine in the pull (w/rho) u'(s/A_i).
 
 // The row/column inputs are non-owning views (the solver hands out
 // Mat::row_span / workspace columns without copying): the backing storage
@@ -126,13 +129,16 @@ double solve_nu_block(const NuBlockInputs& in);
 //     + (rho/2) sum_i (a_ij - lambda~_ij)^2
 //
 // The coupling term sees a_j through t = sum_i a_ij only, so the minimizer is
-//   a(t) = P_{sum <= S_j}(lambda~_j - varphi_j / rho
-//                         - beta_j (phi_j / rho + alpha_j - mu~_j - nu~_j)
-//                         - beta_j^2 t)
-// (the scalar terms shift every entry) at the t with sum_i a_i(t) = t. The
-// sum falls as t grows, so g(t) = t - sum_i a_i(t) has slope at least 1:
-// one projection per probe of monotone_root_from on [0, S_j], starting at
-// the previous iterate's t.
+//   a(t) = P_{sum <= S_j}(b - beta_j^2 t),
+//   b = lambda~_j - varphi_j / rho
+//       - beta_j (phi_j / rho + alpha_j - mu~_j - nu~_j)
+// (the scalar terms shift every entry) at the t with sum_i a_i(t) = t. On
+// the support K = {i : b_i > beta_j^2 t} that root is
+//   t = S_K / (1 + |K| beta_j^2),   S_K = sum_K b_i,
+// and one scan of b (keeping the entries above a running threshold) plus
+// Michelot sweeps over the kept entries find K without a sort or a search.
+// When that t exceeds S_j the cap binds: t = S_j and a is the simplex
+// projection of b at total S_j.
 
 // Column inputs are non-owning views; see LambdaBlockInputs.
 struct ABlockInputs {
@@ -147,9 +153,13 @@ struct ABlockInputs {
   double capacity = 0.0;               ///< S_j, servers.
 };
 
-/// Writes the exact minimizer into `out` (sized M) and returns the number
-/// of probes; see solve_lambda_block_into. The search starts at
-/// t0 = sum(warm_start), the previous a_j's column sum.
+/// Writes the exact minimizer into `out` (sized M, not aliasing the inputs)
+/// and returns the number of passes over the column it took: 1 for the
+/// scan, 2 when the cap binds and the simplex projection follows (the
+/// sweeps run over the scan's kept entries only). No heap allocation once
+/// `ws` is warm. `warm_start` is not read (the solve has no
+/// start point); it stays in the signature for perfbench's call, and goes
+/// with InnerSolverOptions.
 int solve_a_block_into(const ABlockInputs& in,
                        std::span<const double> warm_start,
                        std::span<double> out, BlockWorkspace& ws,

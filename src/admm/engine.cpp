@@ -214,9 +214,9 @@ DatacenterPrediction predict_datacenter(
                                .carbon_tons_per_mwh = dc.carbon_tons_per_mwh,
                                .emission_cost = dc.emission_cost});
 
-  // Procedure 4: a block (uses lambda~, mu~, nu~, phi^k, varphi^k), its
-  // root search starting at a^k's column sum.
-  tilde.a_probes = solve_a_block_into({.alpha = dc.alpha_mw,
+  // Procedure 4: a block (uses lambda~, mu~, nu~, phi^k, varphi^k; a^k is
+  // passed but not read).
+  tilde.a_passes = solve_a_block_into({.alpha = dc.alpha_mw,
                                        .beta = dc.beta_mw,
                                        .mu = tilde.mu,
                                        .nu = tilde.nu,
@@ -304,9 +304,10 @@ SolveCore AdmgEngine::solve(BlockExecutor& executor, int first_iteration) {
       continue;
     }
     // One residual evaluation per iteration, shared by the trace, the
-    // observer and the convergence test (each is an O(MN) pass). The gate
-    // phase timer covers these passes — they are the per-iteration cost the
-    // convergence test imposes on top of the step itself.
+    // observer and the convergence test. The gate phase timer covers these
+    // reads and Anderson's candidate test — the per-iteration cost the
+    // convergence test imposes on top of the step itself — and stops before
+    // the objective, which only observed solves evaluate.
     const auto gate_started =
         profiling ? util::monotonic_now() : util::MonotonicTick{};
     balance = executor.balance_residual();
@@ -343,6 +344,9 @@ SolveCore AdmgEngine::solve(BlockExecutor& executor, int first_iteration) {
         }
       }
     }
+    const double gate_seconds =
+        profiling ? util::seconds_between(gate_started, util::monotonic_now())
+                  : 0.0;
     if (sampling) {
       const double objective = executor.objective();
       if (options_.record_trace) {
@@ -362,8 +366,7 @@ SolveCore AdmgEngine::solve(BlockExecutor& executor, int first_iteration) {
           sample.has_phases = true;
           if (const PhaseProfile* phases = executor.phase_profile())
             sample.phases = *phases;
-          sample.phases.gate_seconds =
-              util::seconds_between(gate_started, util::monotonic_now());
+          sample.phases.gate_seconds = gate_seconds;
         }
         options_.observer->on_iteration(sample);
       }

@@ -81,14 +81,24 @@ double Mat::col_sum(std::size_t c) const {
 void Mat::transpose_into(Mat& out) const {
   UFC_EXPECTS(&out != this);
   if (out.rows_ != cols_ || out.cols_ != rows_) out = Mat(cols_, rows_);
+  transpose_block_into(out, 0, rows_, 0, cols_);
+}
+
+void Mat::transpose_block_into(Mat& out, std::size_t row_begin,
+                               std::size_t row_end, std::size_t col_begin,
+                               std::size_t col_end) const {
+  UFC_EXPECTS(&out != this);
+  UFC_EXPECTS(out.rows_ == cols_ && out.cols_ == rows_);
+  UFC_EXPECTS(row_begin <= row_end && row_end <= rows_);
+  UFC_EXPECTS(col_begin <= col_end && col_end <= cols_);
   // 32x32 tiles (8 KiB) keep one row stripe of the source and one column
   // stripe of the destination resident in L1 together, so every cache line
   // touched is fully consumed before eviction.
   constexpr std::size_t kBlock = 32;
-  for (std::size_t rb = 0; rb < rows_; rb += kBlock) {
-    const std::size_t rend = std::min(rows_, rb + kBlock);
-    for (std::size_t cb = 0; cb < cols_; cb += kBlock) {
-      const std::size_t cend = std::min(cols_, cb + kBlock);
+  for (std::size_t rb = row_begin; rb < row_end; rb += kBlock) {
+    const std::size_t rend = std::min(row_end, rb + kBlock);
+    for (std::size_t cb = col_begin; cb < col_end; cb += kBlock) {
+      const std::size_t cend = std::min(col_end, cb + kBlock);
       for (std::size_t r = rb; r < rend; ++r)
         for (std::size_t c = cb; c < cend; ++c)
           out.data_[c * rows_ + r] = data_[r * cols_ + c];

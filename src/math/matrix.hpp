@@ -42,10 +42,18 @@ class Mat {
 
   /// Writes the transpose into `out` (resized to cols() x rows()). Uses a
   /// cache-blocked kernel so both source rows and destination rows stay in
-  /// cache: this is how the per-datacenter pass of the ADM-G engine obtains
-  /// contiguous column views without striding row-major memory. `out` must
-  /// not alias *this.
+  /// cache. `out` must not alias *this.
   void transpose_into(Mat& out) const;
+  /// Transposes the block of rows [row_begin, row_end) and columns
+  /// [col_begin, col_end) into `out`, which must already be cols() x rows()
+  /// and not alias *this: out(c, r) = (*this)(r, c) for the block's entries
+  /// and nothing else. Same kernel as transpose_into. Threads transposing
+  /// disjoint blocks touch disjoint entries, which is how each chunk of the
+  /// ADM-G datacenter pass moves its own column stripe into and out of the
+  /// contiguous N x M mirrors.
+  void transpose_block_into(Mat& out, std::size_t row_begin,
+                            std::size_t row_end, std::size_t col_begin,
+                            std::size_t col_end) const;
 
   void fill(double value);
 

@@ -47,16 +47,17 @@ std::size_t FrontEndAgent::position_of(NodeId source) const {
   return static_cast<std::size_t>(it - ids.begin());
 }
 
-void FrontEndAgent::send_proposals(Transport& bus, int iteration) {
+int FrontEndAgent::send_proposals(Transport& bus, int iteration) {
   UFC_EXPECTS(iteration >= 0);
-  admm::solve_lambda_block_into({.arrival = config_.arrival,
-                                 .latency_row = config_.latency_row_s.span(),
-                                 .a_row = a_.span(),
-                                 .varphi_row = varphi_.span(),
-                                 .rho = config_.protocol.rule.rho,
-                                 .latency_weight = config_.latency_weight,
-                                 .utility = config_.utility.get()},
-                                lambda_.span(), lambda_tilde_.span(), blocks_);
+  const int probes = admm::solve_lambda_block_into(
+      {.arrival = config_.arrival,
+       .latency_row = config_.latency_row_s.span(),
+       .a_row = a_.span(),
+       .varphi_row = varphi_.span(),
+       .rho = config_.protocol.rule.rho,
+       .latency_weight = config_.latency_weight,
+       .utility = config_.utility.get()},
+      lambda_.span(), lambda_tilde_.span(), blocks_);
 
   for (std::size_t j = 0; j < n_; ++j) {
     Message msg;
@@ -67,6 +68,7 @@ void FrontEndAgent::send_proposals(Transport& bus, int iteration) {
     msg.payload = {lambda_tilde_[j], varphi_[j]};
     bus.send(std::move(msg));
   }
+  return probes;
 }
 
 void FrontEndAgent::process_assignments(Transport& bus, int iteration) {
@@ -181,7 +183,8 @@ DatacenterAgent::DatacenterAgent(DatacenterLocalConfig config)
   last_proposal_round_.assign(config_.num_front_ends, -1);
 }
 
-double DatacenterAgent::process_proposals(Transport& bus, int iteration) {
+DatacenterRound DatacenterAgent::process_proposals(Transport& bus,
+                                                   int iteration) {
   const std::size_t m = config_.num_front_ends;
   const bool stale_ok = config_.protocol.allow_stale;
   std::size_t received = 0;
@@ -241,7 +244,7 @@ double DatacenterAgent::process_proposals(Transport& bus, int iteration) {
   report.iteration = iteration;
   report.payload = {last_balance_residual_};
   bus.send(std::move(report));
-  return change;
+  return {.change = change, .a_passes = predicted.a_passes};
 }
 
 std::int32_t DatacenterAgent::oldest_input_round() const {

@@ -56,8 +56,9 @@ class FrontEndAgent {
 
   /// Procedure 1: solve the lambda block from local state and send
   /// (lambda~_ij, varphi_ij^k) to every datacenter. Runs on any Transport —
-  /// in-process bus or socket-backed — unchanged.
-  void send_proposals(Transport& bus, int iteration);
+  /// in-process bus or socket-backed — unchanged. Returns the lambda
+  /// block's probe count (admm::PhaseProfile::lambda_probes).
+  int send_proposals(Transport& bus, int iteration);
 
   /// Procedures 4-5 + correction: consume the datacenters' a~_ij replies,
   /// update the local dual, apply the back-substitution corrections, and
@@ -122,6 +123,15 @@ struct DatacenterLocalConfig {
   ProtocolConfig protocol;
 };
 
+/// What one datacenter's round reports to the runtime that stepped it.
+struct DatacenterRound {
+  /// Largest move of the datacenter's a, mu and nu (correct_datacenter's
+  /// result), which the coordinator folds into the round's change.
+  double change = 0.0;
+  /// Passes of the a block solve (admm::PhaseProfile::a_passes).
+  int a_passes = 0;
+};
+
 class DatacenterAgent {
  public:
   explicit DatacenterAgent(DatacenterLocalConfig config);
@@ -130,11 +140,9 @@ class DatacenterAgent {
   /// admm::predict_datacenter (the mu, nu and a blocks and the phi_j
   /// prediction), reply a~_ij to every front-end, run
   /// admm::correct_datacenter, and report the local balance residual to the
-  /// coordinator. Returns the largest move of this datacenter's a, mu and nu
-  /// (correct_datacenter's result), which the coordinator folds into the
-  /// round's change. Runs on any Transport — in-process bus or
-  /// socket-backed — unchanged.
-  double process_proposals(Transport& bus, int iteration);
+  /// coordinator. Returns the round's move and a-block work count. Runs on
+  /// any Transport — in-process bus or socket-backed — unchanged.
+  DatacenterRound process_proposals(Transport& bus, int iteration);
 
   NodeId id() const { return datacenter_id(config_.index); }
   double mu() const { return mu_; }

@@ -165,17 +165,22 @@ void DistributedAdmgRuntime::pump_remote(int iteration) {
 void DistributedAdmgRuntime::step(int iteration) {
   transport_->begin_round(iteration);
   // The round's change is the largest move any datacenter reports: its own
-  // correction's, or (in a fleet) its shadow's StateSync adoption.
+  // correction's, or (in a fleet) its shadow's StateSync adoption. The
+  // agents' block work counts are summed into the round's profile.
   change_ = 0.0;
+  profile_last_ = admm::PhaseProfile{};
   const auto& faults = bus_.config().faults;
   for (auto& fe : front_ends_)
     if (!faults.node_down(fe.id(), iteration))
-      fe.send_proposals(*transport_, iteration);
+      profile_last_.lambda_probes += static_cast<std::uint64_t>(
+          fe.send_proposals(*transport_, iteration));
   if (socket_ == nullptr) {
-    for (auto& dc : datacenters_)
-      if (!faults.node_down(dc.id(), iteration))
-        change_ =
-            std::max(change_, dc.process_proposals(*transport_, iteration));
+    for (auto& dc : datacenters_) {
+      if (faults.node_down(dc.id(), iteration)) continue;
+      const DatacenterRound round = dc.process_proposals(*transport_, iteration);
+      change_ = std::max(change_, round.change);
+      profile_last_.a_passes += static_cast<std::uint64_t>(round.a_passes);
+    }
   } else {
     // The datacenters run concurrently in their worker processes; wait
     // (deadline-bounded) for their assignments + StateSync before the

@@ -107,6 +107,14 @@ class DistributedAdmgRuntime final : public admm::BlockExecutor {
   /// Crashed nodes skip their procedures; the coordinator records who
   /// reported.
   void step(int iteration) override;
+  void set_phase_profiling(bool enabled) override { profile_ = enabled; }
+  /// The last round's work counts: the front-ends' lambda probes and the a
+  /// passes of the datacenters this process runs (none in a fleet, whose
+  /// datacenters count in their worker processes). The phase times stay 0;
+  /// the engine times the gate.
+  const admm::PhaseProfile* phase_profile() const override {
+    return profile_ ? &profile_last_ : nullptr;
+  }
   bool topology_changed() override { return topology_changed_; }
   /// A round may declare convergence only when every input it consumed is
   /// recent — oldest cached round within stale_bound_ of the current round.
@@ -228,6 +236,8 @@ class DistributedAdmgRuntime final : public admm::BlockExecutor {
   admm::ResidualScales scales_;  ///< Recomputed after every removal.
   double change_ = 0.0;          ///< See last_change().
   bool topology_changed_ = false;
+  bool profile_ = false;               ///< See set_phase_profiling().
+  admm::PhaseProfile profile_last_;    ///< See phase_profile().
 };
 
 }  // namespace ufc::net

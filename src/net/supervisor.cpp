@@ -107,7 +107,7 @@ class SupervisorObserver final : public admm::IterationObserver {
         socket.pump(deadline.remaining_ms());
       const std::int32_t round = socket.max_pending_iteration(node);
       socket.begin_round(round);
-      agents[k].process_proposals(socket, round);
+      (void)agents[k].process_proposals(socket, round);
       // StateSync LAST: stream FIFO order then guarantees the coordinator
       // has this round's assignments once it sees the sync.
       (void)socket.send(agents[k].make_state_sync(round));

@@ -27,7 +27,7 @@ void MetricsObserver::on_iteration(const admm::IterationSample& sample) {
         .observe(phases.gate_seconds);
     registry_.counter(prefix_ + ".block.lambda_probes")
         .add(phases.lambda_probes);
-    registry_.counter(prefix_ + ".block.a_probes").add(phases.a_probes);
+    registry_.counter(prefix_ + ".block.a_passes").add(phases.a_passes);
   }
 }
 

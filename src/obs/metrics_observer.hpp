@@ -25,8 +25,9 @@ namespace ufc::obs {
 ///   counters    <prefix>.iterations, <prefix>.solves,
 ///               <prefix>.converged_solves, <prefix>.fallback_solves,
 ///               <prefix>.watchdog_trips and, when phase profiling is on
-///               (AdmgOptions::profile_phases), the block solvers' root
-///               probes <prefix>.block.{lambda,a}_probes
+///               (AdmgOptions::profile_phases), the block solvers' work
+///               counts <prefix>.block.lambda_probes and
+///               <prefix>.block.a_passes
 ///   gauges      <prefix>.last.iterations, <prefix>.last.balance_residual,
 ///               <prefix>.last.copy_residual, <prefix>.last.objective
 ///   histograms  <prefix>.iteration_seconds and, with phase profiling,

@@ -1,32 +1,35 @@
 // Bracketed root of a monotone scalar function.
 //
-// Every block sub-problem of the ADM-G ends in one such root:
+// Block sub-problems of the ADM-G end in such a root:
 //  - the nu step (19) minimizes a scalar convex function, i.e. finds the
 //    zero of its nondecreasing derivative, which jumps at the kinks of
 //    piecewise emission costs (stepped carbon taxes);
-//  - the lambda and a steps (17), (20) depend on their vector only through
-//    one linear form, so each exact minimizer is a single simplex
-//    projection taken at the root of a monotone scalar consistency
-//    equation (admm/blocks.cpp).
+//  - the lambda step (17) depends on its vector only through one linear
+//    form, so its exact minimizer is a single simplex projection taken at
+//    the root of a monotone scalar consistency equation (admm/blocks.cpp).
+//    (The a step (20) has the same structure, but its equation is solved in
+//    closed form on the support, with no search.)
 //
-// The finder is regula falsi with the Illinois modification (the value kept
-// at a bracket end is halved when the same end survives two probes in a
-// row), safeguarded so every probe lies strictly inside the bracket. It
-// converges superlinearly on smooth functions, steps onto the root of a
-// linear piece, and closes in on a jump like bisection. It takes the
-// function as a template callable and allocates nothing.
-//
-// Two forms share that loop:
-//  - monotone_root(g, lo, hi) brackets the root with probes at both ends;
-//  - monotone_root_from(g, x0, lo, hi) brackets it from a start point, for
-//    a g of slope at least 1: the probes at x0 and at x0 - g(x0) enclose
-//    the root. The lambda and a equations have that slope, so their blocks
-//    start at the previous iterate's value and a search that starts near
-//    the root ends after a few probes.
+// Two forms:
+//  - monotone_root(g, lo, hi) brackets the root with probes at both ends
+//    and closes in by regula falsi with the Illinois modification (the
+//    value kept at a bracket end is halved when the same end survives two
+//    probes in a row), safeguarded so every probe lies strictly inside the
+//    bracket. It converges superlinearly on smooth functions, steps onto
+//    the root of a linear piece, and closes in on a jump like bisection.
+//  - monotone_root_from(g, model, x0, lo, hi) is for a g of slope at least
+//    1, searched from a start point: each probe x bounds the root to within
+//    |g(x)| of x, on the side the sign of g(x) names, and the caller's
+//    model proposes the next probe (for the lambda block, the root of the
+//    equation on the current probe's projection support). A start near the
+//    root and a model exact on the root's piece end the search after two
+//    probes.
+// Both take the function as a template callable and allocate nothing.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/contract.hpp"
 
@@ -38,14 +41,19 @@ namespace ufc {
 inline constexpr double kRootTolerance = 1e-15;
 inline constexpr int kRootMaxProbes = 200;
 
-namespace detail {
-
-/// The Illinois loop of both forms, on a bracket with g(lo) < 0 < g(hi).
-/// `x` is the last point probed before the call; it is returned if the
-/// bracket is already closed, and otherwise the last probe of the loop is.
+/// Root of a nondecreasing `g` on [lo, hi]: lo if g(lo) >= 0, hi if
+/// g(hi) <= 0, and otherwise a point of the final bracket around the sign
+/// change. The returned point is always the last one `g` was evaluated at,
+/// so a `g` that writes a by-product leaves the by-product of the returned
+/// root behind.
 template <typename G>
-double illinois_root(G& g, double lo, double g_lo, double hi, double g_hi,
-                     double x) {
+double monotone_root(G&& g, double lo, double hi) {
+  UFC_EXPECTS(lo <= hi);
+  double g_lo = g(lo);
+  if (g_lo >= 0.0) return lo;
+  double g_hi = g(hi);
+  if (g_hi <= 0.0) return hi;
+  double x = hi;
   int last_moved = 0;  // +1: hi moved on the last probe, -1: lo did.
   for (int k = 0; k < kRootMaxProbes; ++k) {
     const double tolerance =
@@ -74,48 +82,44 @@ double illinois_root(G& g, double lo, double g_lo, double hi, double g_hi,
   return x;
 }
 
-}  // namespace detail
-
-/// Root of a nondecreasing `g` on [lo, hi]: lo if g(lo) >= 0, hi if
-/// g(hi) <= 0, and otherwise a point of the final bracket around the sign
-/// change. The returned point is always the last one `g` was evaluated at,
-/// so a `g` that writes a by-product (a projection) leaves the by-product
-/// of the returned root behind.
-template <typename G>
-double monotone_root(G&& g, double lo, double hi) {
-  UFC_EXPECTS(lo <= hi);
-  const double g_lo = g(lo);
-  if (g_lo >= 0.0) return lo;
-  const double g_hi = g(hi);
-  if (g_hi <= 0.0) return hi;
-  return detail::illinois_root(g, lo, g_lo, hi, g_hi, hi);
-}
-
 /// Root of a `g` on [lo, hi] whose slope is at least 1 (g(y) - g(x) >= y - x
-/// for x < y), searched from `x0` (clamped into [lo, hi]). The first probe
-/// is x0 and the second x1 = x0 - g(x0), clamped; the slope puts the root
-/// between them, and the Illinois loop finishes inside. x0 is returned when
-/// the clamped step does not move it (x0 is the end the root lies beyond,
-/// or the step is below rounding), and x1 when g(x1) keeps the sign of
-/// g(x0) (only rounding can do that, and then |x1 - root| <= |g(x1)|). Same
-/// result contract as monotone_root, the last probe included; a start at
-/// the root costs one probe and a linear g of slope 1 two.
-template <typename G>
-double monotone_root_from(G&& g, double x0, double lo, double hi) {
+/// for x < y), searched from `x0` (clamped into [lo, hi]). A probe at x
+/// narrows the bracket to [x - g(x), x] when g(x) > 0 and to [x, x - g(x)]
+/// when g(x) < 0; the next probe is `model(x, g(x))`, called only while
+/// the bracket is still open. The search bisects instead when the model's
+/// point leaves the bracket or repeats x, or when the last probe did not
+/// halve the bracket, so it closes in even on a model that is always wrong.
+/// Returns the last probe, like monotone_root: a point of the final
+/// bracket, which is the clamped start itself when the root lies beyond
+/// it.
+template <typename G, typename Model>
+double monotone_root_from(G&& g, Model&& model, double x0, double lo,
+                          double hi) {
   UFC_EXPECTS(lo <= hi);
-  x0 = std::clamp(x0, lo, hi);
-  const double g0 = g(x0);
-  // ufc-lint: allow(float-equal) — an exact zero is the root itself.
-  if (g0 == 0.0) return x0;
-  const double x1 = std::clamp(x0 - g0, lo, hi);
-  if (x1 == x0) return x0;  // The step did not move the probe.
-  const double g1 = g(x1);
-  if (g0 > 0.0) {
-    if (g1 >= 0.0) return x1;
-    return detail::illinois_root(g, x1, g1, x0, g0, x1);
+  double x = std::clamp(x0, lo, hi);
+  // The bracket's width before the probe; the first model step always runs.
+  double width = std::numeric_limits<double>::infinity();
+  for (int probes = 1;; ++probes) {
+    const double g_x = g(x);
+    // ufc-lint: allow(float-equal) — an exact zero is the root itself.
+    if (g_x == 0.0) return x;
+    if (g_x > 0.0) {
+      hi = x;
+      lo = std::max(lo, x - g_x);
+    } else {
+      lo = x;
+      hi = std::min(hi, x - g_x);
+    }
+    const double tolerance =
+        kRootTolerance * (1.0 + std::abs(lo) + std::abs(hi));
+    if (hi - lo <= tolerance || probes == kRootMaxProbes) return x;
+    const bool halved = hi - lo <= 0.5 * width;
+    width = hi - lo;
+    const double proposed = model(x, g_x);
+    // Re-probing x exactly would learn nothing.
+    const bool fresh = proposed >= lo && proposed <= hi && proposed != x;
+    x = halved && fresh ? proposed : lo + 0.5 * (hi - lo);
   }
-  if (g1 <= 0.0) return x1;
-  return detail::illinois_root(g, x0, g0, x1, g1, x1);
 }
 
 }  // namespace ufc

@@ -13,7 +13,13 @@ std::string fixed(double value, int precision) {
   os.setf(std::ios::fixed);
   os.precision(precision);
   os << value;
-  return os.str();
+  std::string text = os.str();
+  // A value that rounds to zero prints unsigned: the sign of rounding
+  // residue (-1e-15) is noise, not a result.
+  if (text.front() == '-' &&
+      text.find_first_not_of("0.", 1) == std::string::npos)
+    text.erase(0, 1);
+  return text;
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> header)

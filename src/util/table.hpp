@@ -28,7 +28,8 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Formats a double with fixed decimal places.
+/// Formats a double with fixed decimal places; a value that rounds to zero
+/// prints without a sign.
 std::string fixed(double value, int precision = 2);
 
 }  // namespace ufc

@@ -4,8 +4,12 @@
 // threads=4 is an exact equality test, not a tolerance test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "admm/admg.hpp"
 #include "helpers.hpp"
@@ -126,6 +130,75 @@ TEST(AdmgParallel, WarmStartAcrossUpdateBitIdentical) {
   const AdmgReport rt = threaded.solve_warm();
   EXPECT_EQ(rs.iterations, rt.iterations);
   expect_identical_iterates(serial, threaded);
+}
+
+/// The gate's reads as full passes over the iterate.
+bool scanned_finite(const AdmgSolver& s) {
+  return all_finite(s.lambda().raw()) && all_finite(s.a().raw()) &&
+         all_finite(s.varphi().raw()) && all_finite(s.mu().span()) &&
+         all_finite(s.nu().span()) && all_finite(s.phi().span()) &&
+         std::isfinite(s.last_change());
+}
+
+void expect_gate_matches_full_passes(const AdmgSolver& s,
+                                     const std::string& where) {
+  EXPECT_EQ(s.copy_residual(), max_abs_diff(s.a(), s.lambda())) << where;
+  EXPECT_EQ(s.iterate_finite(), scanned_finite(s)) << where;
+  double balance = 0.0;
+  for (std::size_t j = 0; j < s.mu().size(); ++j)
+    balance = std::max(
+        balance, std::abs(s.problem().alpha_mw(j) +
+                          s.problem().beta_mw(j) * s.a().col_sum(j) -
+                          s.mu()[j] - s.nu()[j]));
+  EXPECT_EQ(s.balance_residual(), balance) << where;
+}
+
+TEST(AdmgParallel, CachedGateMatchesFullPasses) {
+  // The datacenter pass folds the gate's residuals and finiteness per
+  // chunk; every read after a step, and after each way of replacing the
+  // iterate, must equal the full pass bit for bit.
+  const auto problem = testing::make_random_problem(31, 9, 5);
+  for (const int threads : {1, 2, 4}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    AdmgSolver solver(problem, with_threads(threads));
+    expect_gate_matches_full_passes(solver, label + " cold");
+    for (int k = 0; k < 12; ++k) {
+      solver.step();
+      expect_gate_matches_full_passes(solver,
+                                      label + " step " + std::to_string(k));
+    }
+
+    std::vector<double> flat(solver.iterate_size());
+    solver.copy_iterate(flat);
+    const auto image = solver.checkpoint();
+    solver.step();
+    solver.restore(image);
+    expect_gate_matches_full_passes(solver, label + " restore");
+
+    for (double& v : flat) v *= 1.5;
+    solver.set_iterate(flat);
+    expect_gate_matches_full_passes(solver, label + " set_iterate");
+    solver.step();
+    expect_gate_matches_full_passes(solver, label + " step after set");
+
+    ProblemUpdate update;
+    update.arrivals.emplace_back(0, problem.arrivals[0] * 0.5);
+    update.grid_prices.emplace_back(1, 2.0 * problem.datacenters[1].grid_price);
+    solver.apply_update(update);
+    expect_gate_matches_full_passes(solver, label + " apply_update");
+    solver.step();
+    expect_gate_matches_full_passes(solver, label + " step after update");
+
+    // A NaN installed through the flat seam is in the next step's columns.
+    solver.copy_iterate(flat);
+    flat[2 * problem.num_front_ends() * problem.num_datacenters()] =
+        std::numeric_limits<double>::quiet_NaN();  // varphi(0, 0)
+    solver.set_iterate(flat);
+    EXPECT_FALSE(solver.iterate_finite()) << label;
+    solver.step();
+    EXPECT_FALSE(solver.iterate_finite()) << label << " after the step";
+    EXPECT_EQ(solver.iterate_finite(), scanned_finite(solver)) << label;
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "model/emission.hpp"
 #include "model/utility.hpp"
 #include "opt/kkt.hpp"
+#include "opt/scalar.hpp"
 #include "util/rng.hpp"
 
 namespace ufc::admm {
@@ -260,6 +261,67 @@ TEST_P(LambdaBlockProperty, SatisfiesFirstOrderConditions) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LambdaBlockProperty,
                          ::testing::Range<std::uint64_t>(1, 17));
 
+TEST(LambdaBlock, SupportChangesBetweenStartAndRoot) {
+  // The model step is exact only while the projection keeps its support.
+  // From a start with all traffic on the slowest datacenter, the pull at the
+  // start drops datacenters that the root's support keeps, for the
+  // exponential and quadratic utilities; the search still ends at the exact
+  // minimizer in a few probes. The linear utility's pull is constant, so
+  // its support is the same at every s and the model lands on the root.
+  const Vec latency{0.005, 0.02, 0.045}, a_row{0.3, 0.5, 0.2},
+      varphi_row{0.0, 0.0, 0.0};
+  const Vec slowest{0.0, 0.0, 1.0};
+  struct Case {
+    std::shared_ptr<const UtilityFunction> utility;
+    double weight;
+    bool support_changes;
+  };
+  const Case cases[] = {
+      {std::make_shared<ExponentialUtility>(0.02), 0.03, true},
+      {std::make_shared<ExponentialUtility>(0.02), 0.3, true},
+      {std::make_shared<ExponentialUtility>(0.02), 1.0, true},
+      {std::make_shared<QuadraticUtility>(), 300.0, true},
+      {std::make_shared<QuadraticUtility>(), 3000.0, true},
+      {std::make_shared<LinearUtility>(), 3.0, false},
+      {std::make_shared<LinearUtility>(), 30.0, false},
+  };
+  const auto support = [](const Vec& x) {
+    std::vector<bool> in_support;
+    for (const double v : x) in_support.push_back(v > 0.0);
+    return in_support;
+  };
+  for (const Case& c : cases) {
+    LambdaBlockInputs in;
+    in.arrival = 1.0;
+    in.latency_row = latency.span();
+    in.a_row = a_row.span();
+    in.varphi_row = varphi_row.span();
+    in.rho = 1.0;
+    in.latency_weight = c.weight;
+    in.utility = c.utility.get();
+    const std::string label =
+        c.utility->name() + " w=" + std::to_string(c.weight);
+
+    // The first probe's projection, at s0 = A * 0.045.
+    const double pull = c.weight * c.utility->derivative(0.045);
+    Vec start_point(3);
+    for (std::size_t j = 0; j < 3; ++j)
+      start_point[j] = a_row[j] + pull * latency[j];
+    const Vec at_start = sort_project_simplex(start_point, in.arrival);
+
+    Vec solution(3);
+    BlockWorkspace ws;
+    const int probes =
+        solve_lambda_block_into(in, slowest.span(), solution.span(), ws);
+    EXPECT_EQ(support(at_start) != support(solution), c.support_changes)
+        << label;
+    EXPECT_LE(lambda_block_residual(in, solution), kExactResidual) << label;
+    EXPECT_LE(max_abs_diff(solution, solve_lambda(in)), kSameMinimizer)
+        << label;
+    EXPECT_LE(probes, c.support_changes ? 6 : 2) << label;
+  }
+}
+
 TEST(MuBlock, InteriorOptimum) {
   MuBlockInputs in;
   in.alpha = 1.0;
@@ -460,6 +522,103 @@ TEST(ABlock, TwoFrontEndBruteForce) {
             << "capacity " << capacity << " beaten at " << p << "," << q;
       }
     }
+  }
+}
+
+/// The a block as a root search over t, the form the closed form replaced:
+/// g(t) = t - sum_i P_{sum <= S}(b - beta^2 t)_i, one (sort-based)
+/// projection per probe of monotone_root on [0, S]. Kept as the reference
+/// the scan must match.
+Vec reference_a_block(const ABlockInputs& in) {
+  const std::size_t m = in.varphi_col.size();
+  const double shift = in.beta * (in.phi / in.rho + in.alpha - in.mu - in.nu);
+  Vec base(m), out(m);
+  for (std::size_t i = 0; i < m; ++i)
+    base[i] = in.lambda_col[i] - in.varphi_col[i] / in.rho - shift;
+  const double beta_sq = in.beta * in.beta;
+  auto gap = [&](double t) {
+    Vec shifted = base;
+    for (auto& v : shifted) v -= beta_sq * t;
+    out = sort_project_capped_simplex(shifted, in.capacity);
+    double assigned = 0.0;
+    for (const double v : out) assigned += v;
+    return t - assigned;
+  };
+  monotone_root(gap, 0.0, in.capacity);
+  return out;
+}
+
+TEST(ABlock, MatchesTheRootSearchForm) {
+  // Random columns as drawn and in the cases the closed form treats on its
+  // own: the cap binding, the cap exactly met (t* = S_j), no coupling
+  // (beta = 0), and every b_i <= 0.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed + 300);
+    const std::size_t m = 1 + static_cast<std::size_t>(rng.uniform_int(0, 9));
+    Vec varphi_col(m), lambda_col(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      varphi_col[i] = rng.uniform(-1.0, 1.0);
+      lambda_col[i] = rng.uniform(0.0, 1.0);
+    }
+    ABlockInputs drawn;
+    drawn.alpha = rng.uniform(0.0, 2.0);
+    drawn.beta = rng.uniform(0.0, 1.5);
+    drawn.mu = rng.uniform(0.0, 1.0);
+    drawn.nu = rng.uniform(0.0, 1.0);
+    drawn.phi = rng.uniform(-3.0, 3.0);
+    drawn.varphi_col = varphi_col.span();
+    drawn.lambda_col = lambda_col.span();
+    drawn.rho = rng.uniform(0.2, 10.0);
+    drawn.capacity = rng.uniform(0.5, 3.0);
+
+    ABlockInputs uncapped = drawn;
+    uncapped.capacity = 1e6;
+    double free_sum = 0.0;
+    for (const double x : solve_a(uncapped)) free_sum += x;
+
+    for (const char* variant :
+         {"drawn", "capped", "exact", "flat", "nonpositive"}) {
+      const std::string shape = variant;
+      ABlockInputs in = drawn;
+      if (shape == "capped") in.capacity = 0.5 * free_sum;
+      if (shape == "exact") in.capacity = free_sum;
+      if (shape == "flat") in.beta = 0.0;
+      // phi / rho far above every lambda_i pushes every b_i below zero.
+      if (shape == "nonpositive") in.phi = 50.0 * in.rho / std::max(in.beta, 0.1);
+      if (shape == "nonpositive") in.beta = std::max(in.beta, 0.1);
+
+      const Vec solution = solve_a(in);
+      const Vec reference = reference_a_block(in);
+      EXPECT_LE(max_abs_diff(solution, reference),
+                kSameMinimizer * std::max(1.0, in.capacity))
+          << "seed " << seed << " " << shape;
+      if (shape == "nonpositive") {
+        for (const double x : solution) EXPECT_EQ(x, 0.0) << "seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(ABlock, TiesAtTheThresholdGetNothing) {
+  // With beta = 1 and no shift, b = lambda. The support {4} gives
+  // t = 4 / 2 = 2 and {4, 2} gives 6 / 3 = 2 as well: theta = 2 exactly,
+  // so the entries tied at 2 are assigned 0 whichever side of the tie the
+  // scan puts them on.
+  const Vec lambda_col{2.0, 4.0, 2.0, 1.0, -1.0, 2.0};
+  const Vec varphi_col(6, 0.0);
+  ABlockInputs in;
+  in.beta = 1.0;
+  in.varphi_col = varphi_col.span();
+  in.lambda_col = lambda_col.span();
+  in.rho = 1.0;
+  for (const double capacity : {10.0, 2.0}) {
+    in.capacity = capacity;  // 2.0: the cap exactly met by t* = 2
+    const Vec solution = solve_a(in);
+    EXPECT_EQ(solution[1], 2.0) << capacity;
+    for (const std::size_t i : {0u, 2u, 3u, 4u, 5u})
+      EXPECT_EQ(solution[i], 0.0) << capacity << " entry " << i;
+    EXPECT_LE(max_abs_diff(solution, reference_a_block(in)), kSameMinimizer)
+        << capacity;
   }
 }
 

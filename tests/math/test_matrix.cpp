@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <utility>
+
 #include "math/matrix.hpp"
 #include "util/contract.hpp"
 
@@ -123,6 +126,47 @@ TEST(Mat, TransposeIntoRoundTripsAcrossBlockBoundary) {
 TEST(Mat, TransposeIntoSelfAliasThrows) {
   Mat m = make_counting(2, 2);
   EXPECT_THROW(m.transpose_into(m), ContractViolation);
+}
+
+TEST(Mat, TransposeBlockIntoWritesOnlyItsBlock) {
+  // The ADM-G datacenter pass moves column stripes in and out, one per
+  // chunk: stripes that cover the matrix give the full transpose, and a
+  // stripe leaves every entry outside its block as it was.
+  const Mat m = make_counting(37, 65);
+  Mat full;
+  m.transpose_into(full);
+  Mat striped(65, 37, -1.0);
+  const std::pair<std::size_t, std::size_t> stripes[] = {
+      {0, 20}, {20, 33}, {33, 65}};
+  for (const auto& [begin, end] : stripes)
+    m.transpose_block_into(striped, 0, 37, begin, end);
+  EXPECT_EQ(max_abs_diff(striped, full), 0.0);
+
+  Mat one(65, 37, -1.0);
+  m.transpose_block_into(one, 5, 9, 40, 41);
+  for (std::size_t r = 0; r < one.rows(); ++r)
+    for (std::size_t c = 0; c < one.cols(); ++c) {
+      const bool inside = r == 40 && c >= 5 && c < 9;
+      EXPECT_EQ(one(r, c), inside ? m(c, r) : -1.0) << r << "," << c;
+    }
+
+  // And back: rows of the transpose into columns of the original.
+  Mat back(37, 65, -1.0);
+  full.transpose_block_into(back, 20, 33, 0, 37);
+  for (std::size_t c = 20; c < 33; ++c)
+    for (std::size_t r = 0; r < 37; ++r) EXPECT_EQ(back(r, c), m(r, c));
+}
+
+TEST(Mat, TransposeBlockIntoRejectsBadShapesAndRanges) {
+  const Mat m = make_counting(3, 4);
+  Mat wrong(3, 4);
+  EXPECT_THROW(m.transpose_block_into(wrong, 0, 3, 0, 4), ContractViolation);
+  Mat out(4, 3);
+  EXPECT_THROW(m.transpose_block_into(out, 0, 4, 0, 4), ContractViolation);
+  EXPECT_THROW(m.transpose_block_into(out, 2, 1, 0, 4), ContractViolation);
+  EXPECT_THROW(m.transpose_block_into(out, 0, 3, 0, 5), ContractViolation);
+  Mat self = make_counting(2, 2);
+  EXPECT_THROW(self.transpose_block_into(self, 0, 2, 0, 2), ContractViolation);
 }
 
 }  // namespace

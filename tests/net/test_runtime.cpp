@@ -2,11 +2,15 @@
 // same iterates, same convergence, only message-passing in between.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "admm/admg.hpp"
 #include "helpers.hpp"
 #include "net/runtime.hpp"
+#include "obs/metrics_observer.hpp"
+#include "sim/simulator.hpp"
+#include "traces/scenario.hpp"
 #include "util/contract.hpp"
 
 namespace ufc::net {
@@ -44,6 +48,42 @@ TEST(DistributedRuntime, IteratesBitIdenticalToMonolithicSolver) {
     ASSERT_EQ(runtime.last_change(), solver.last_change())
         << "last change diverged at iteration " << k;
   }
+}
+
+TEST(DistributedRuntime, PhaseProfileCountsMatchInProcess) {
+  // The agents run the in-process solver's block solves, so a profiled
+  // zero-fault solve records the same work counts (paper hour 64, the
+  // Hybrid strategy: no block pinned).
+  const UfcProblem problem = traces::Scenario::generate({}).problem_at(64);
+  const auto counts = [](const obs::MetricsRegistry& registry) {
+    const auto count = [&](const char* name) {
+      const obs::Counter* counter = registry.find_counter(name);
+      return counter != nullptr ? counter->value() : 0u;
+    };
+    return std::vector<std::uint64_t>{count("solver.iterations"),
+                                      count("solver.block.lambda_probes"),
+                                      count("solver.block.a_passes")};
+  };
+  admm::AdmgOptions options = sim::SimulatorOptions{}.admg;
+  options.profile_phases = true;
+
+  obs::MetricsRegistry in_process;
+  obs::MetricsObserver in_process_observer(in_process);
+  options.observer = &in_process_observer;
+  (void)admm::solve_admg(problem, options);
+
+  obs::MetricsRegistry distributed;
+  obs::MetricsObserver distributed_observer(distributed);
+  DistributedOptions dist;
+  dist.admg = options;
+  dist.admg.observer = &distributed_observer;
+  (void)DistributedAdmgRuntime(problem, dist).run();
+
+  const auto expected = counts(in_process);
+  EXPECT_EQ(expected[0], 109u);
+  EXPECT_GT(expected[1], 0u);
+  EXPECT_GT(expected[2], 0u);
+  EXPECT_EQ(counts(distributed), expected);
 }
 
 TEST(DistributedRuntime, RunMatchesMonolithicReport) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "opt/scalar.hpp"
@@ -77,22 +78,36 @@ TEST(MonotoneRoot, LinearPieceNeedsOneSecantStep) {
   EXPECT_LE(probes, 4);
 }
 
-// monotone_root_from: the start-point form for a g of slope at least 1.
+// monotone_root_from: the start-point form for a g of slope at least 1,
+// stepping by a caller's model of g.
+
+/// The slope-1 model: exact for a g of slope 1.
+double slope_one_step(double x, double g_x) { return x - g_x; }
 
 TEST(MonotoneRootFrom, ReturnsItsLastProbe) {
-  // g(x) = x + e^x - 3 has slope above 1; the root is near 0.79.
+  // g(x) = x + e^x - 3 has slope above 1; the root is near 0.79. The model
+  // is a Newton step, as the lambda block's is on its support.
   double last = -1.0;
   auto g = [&](double x) {
     last = x;
     return x + std::exp(x) - 3.0;
   };
+  auto newton = [](double x, double g_x) {
+    return x - g_x / (1.0 + std::exp(x));
+  };
   for (const double start : {0.0, 0.5, 0.79, 1.5, 3.0}) {
-    const double root = monotone_root_from(g, start, 0.0, 3.0);
+    const double root = monotone_root_from(g, newton, start, 0.0, 3.0);
     EXPECT_EQ(root, last) << start;
     EXPECT_NEAR(root + std::exp(root), 3.0, 1e-14) << start;
   }
-  EXPECT_EQ(monotone_root_from(g, 2.0, 1.0, 3.0), last);  // g(lo) >= 0
-  EXPECT_EQ(monotone_root_from(g, 0.2, -2.0, 0.5), last);  // g(hi) <= 0
+  // g(lo) >= 0 and g(hi) <= 0: the search closes in on the end the root
+  // lies beyond, or stops at once from a start on it.
+  EXPECT_EQ(monotone_root_from(g, newton, 2.0, 1.0, 3.0), last);
+  EXPECT_NEAR(last, 1.0, kRootTolerance * 5.0);
+  EXPECT_EQ(monotone_root_from(g, newton, 0.2, -2.0, 0.5), last);
+  EXPECT_NEAR(last, 0.5, kRootTolerance * 4.0);
+  EXPECT_EQ(monotone_root_from(g, newton, -1.0, 1.0, 3.0), 1.0);
+  EXPECT_EQ(monotone_root_from(g, newton, 7.0, -2.0, 0.5), 0.5);
 }
 
 TEST(MonotoneRootFrom, ClampsAStartOutsideTheBracket) {
@@ -102,7 +117,9 @@ TEST(MonotoneRootFrom, ClampsAStartOutsideTheBracket) {
       probes.push_back(x);
       return x - 2.0;
     };
-    EXPECT_NEAR(monotone_root_from(g, start, 0.0, 10.0), 2.0, 1e-14) << start;
+    EXPECT_NEAR(monotone_root_from(g, slope_one_step, start, 0.0, 10.0), 2.0,
+                1e-14)
+        << start;
     ASSERT_FALSE(probes.empty());
     EXPECT_EQ(probes.front(), std::clamp(start, 0.0, 10.0)) << start;
     for (const double x : probes) {
@@ -118,7 +135,7 @@ TEST(MonotoneRootFrom, StartAtTheRootCostsOneProbe) {
     ++probes;
     return 2.0 * x - 3.0;
   };
-  EXPECT_EQ(monotone_root_from(g, 1.5, 0.0, 10.0), 1.5);
+  EXPECT_EQ(monotone_root_from(g, slope_one_step, 1.5, 0.0, 10.0), 1.5);
   EXPECT_EQ(probes, 1);
 }
 
@@ -130,8 +147,52 @@ TEST(MonotoneRootFrom, SlopeOneLinearCostsTwoProbes) {
       ++probes;
       return x - 0.25;
     };
-    EXPECT_EQ(monotone_root_from(g, start, -2.0, 10.0), 0.25) << start;
+    EXPECT_EQ(monotone_root_from(g, slope_one_step, start, -2.0, 10.0), 0.25)
+        << start;
     EXPECT_EQ(probes, 2) << start;
+  }
+}
+
+TEST(MonotoneRootFrom, LinearPieceCostsTwoProbes) {
+  // g is piecewise linear with slope 3 on [1, 10], where its root 2.2 lies,
+  // and 1.5 below; the model steps to the root of the probe's piece, as the
+  // lambda block's model does on its projection support. From any start on
+  // the root's piece the second probe closes the bracket.
+  auto slope = [](double x) { return x >= 1.0 ? 3.0 : 1.5; };
+  auto piecewise = [](double x) {
+    return x >= 1.0 ? 3.0 * (x - 2.2) : -3.6 + 1.5 * (x - 1.0);
+  };
+  auto model = [&](double x, double g_x) { return x - g_x / slope(x); };
+  for (const double start : {1.0, 1.3, 2.1, 2.3, 5.0, 9.7, 10.0}) {
+    int probes = 0;
+    auto g = [&](double x) {
+      ++probes;
+      return piecewise(x);
+    };
+    const double root = monotone_root_from(g, model, start, -5.0, 10.0);
+    EXPECT_NEAR(root, 2.2, 1e-14) << start;
+    EXPECT_EQ(probes, 2) << start;
+  }
+}
+
+TEST(MonotoneRootFrom, ModelOutsideTheBracketStillConverges) {
+  // A model that always points outside the bracket (or is NaN) is never
+  // followed: the search bisects, and still meets the tolerance within
+  // kRootMaxProbes.
+  for (const double wrong :
+       {-1e9, 1e9, std::numeric_limits<double>::quiet_NaN()}) {
+    for (const double start : {0.0, 0.5, 3.0}) {
+      int probes = 0;
+      auto g = [&](double x) {
+        ++probes;
+        return x + std::exp(x) - 3.0;
+      };
+      auto model = [&](double, double) { return wrong; };
+      const double root = monotone_root_from(g, model, start, 0.0, 3.0);
+      EXPECT_NEAR(root + std::exp(root), 3.0, 1e-14)
+          << wrong << " from " << start;
+      EXPECT_LE(probes, kRootMaxProbes) << wrong << " from " << start;
+    }
   }
 }
 
@@ -139,11 +200,14 @@ TEST(MonotoneRootFrom, StepFunctionConvergesToJump) {
   // Slope 1 with a jump from -1 to +1 at x = 3: the root is the jump.
   auto g = [](double x) { return (x - 3.0) + (x < 3.0 ? -1.0 : 1.0); };
   for (const double start : {0.0, 2.9, 3.0, 3.5, 10.0})
-    EXPECT_NEAR(monotone_root_from(g, start, 0.0, 10.0), 3.0, 1e-9) << start;
+    EXPECT_NEAR(monotone_root_from(g, slope_one_step, start, 0.0, 10.0), 3.0,
+                1e-9)
+        << start;
 }
 
 TEST(MonotoneRootFrom, InvertedBoundsThrow) {
-  EXPECT_THROW(monotone_root_from([](double x) { return x; }, 0.5, 1.0, 0.0),
+  EXPECT_THROW(monotone_root_from([](double x) { return x; }, slope_one_step,
+                                  0.5, 1.0, 0.0),
                ContractViolation);
 }
 

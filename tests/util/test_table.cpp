@@ -40,5 +40,15 @@ TEST(Fixed, FormatsDecimals) {
   EXPECT_EQ(fixed(2.5, 3), "2.500");
 }
 
+TEST(Fixed, RoundsResidueToUnsignedZero) {
+  // Rounding residue of a solve must not print as "-0.00".
+  EXPECT_EQ(fixed(-1e-12, 2), "0.00");
+  EXPECT_EQ(fixed(-0.004, 2), "0.00");
+  EXPECT_EQ(fixed(-0.006, 2), "-0.01");
+  EXPECT_EQ(fixed(-0.0, 0), "0");
+  EXPECT_EQ(fixed(-0.4, 0), "0");
+  EXPECT_EQ(fixed(-10.0, 0), "-10");
+}
+
 }  // namespace
 }  // namespace ufc
