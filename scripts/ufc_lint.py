@@ -668,20 +668,26 @@ def check_global_state(tree: Tree):
 # The per-iteration hot path: AdmgSolver::step, the datacenter pass it calls,
 # the datacenter procedures that pass shares with net::DatacenterAgent, the
 # two block solvers the passes call once per row or column with their
-# helpers (the lambda block's model step and the a block's scan), the root
-# finder every lambda and nu probe runs (both forms, header templates in
-# opt/scalar.hpp), and the message-passing runtime's round, whose
-# coordinator folds per-datacenter scalars instead of gathering the
-# iterate. Every Mat/Vec they need lives in workspaces sized
-# once in reset() (or by the agent's constructor) or grown on the first
-# block solve. (The no-argument AdmgSolver::step() is inline in
-# admm/admg.hpp and only forwards to step(int).)
+# helpers (the lambda block's support-model root, support spread and
+# warm-support projection, the a block's scan, and the simplex threshold a
+# capped column takes), the root finder every lambda and nu probe runs
+# (both forms, header templates in opt/scalar.hpp), the message-passing
+# runtime's round, whose coordinator folds per-datacenter scalars instead
+# of gathering the iterate, and the objective every traced or observed
+# iteration evaluates (the runtime's, into buffers it sizes on a
+# membership change, and `evaluate`, which every executor's objective
+# reaches). Every Mat/Vec they need lives in workspaces sized once in
+# reset() (or by the agent's constructor) or grown on the first block
+# solve. (The no-argument AdmgSolver::step() is inline in admm/admg.hpp and
+# only forwards to step(int).)
 HOT_PATH = ("AdmgSolver::step", "AdmgSolver::run_full_datacenter_pass",
             "predict_datacenter", "correct_datacenter",
             "solve_lambda_block_into", "solve_a_block_into",
-            "lambda_model_step", "a_block_scan",
+            "lambda_model_root", "support_spread", "project_on_support",
+            "a_block_scan", "simplex_threshold",
             "monotone_root", "monotone_root_from",
-            "DistributedAdmgRuntime::step")
+            "DistributedAdmgRuntime::step", "DistributedAdmgRuntime::objective",
+            "evaluate")
 # The iteration loop itself. It is exception-free like the hot path, but
 # not allocation-free: it packages the report once, after the loop.
 ENGINE_LOOP = "AdmgEngine::solve"
@@ -1222,10 +1228,18 @@ HOT_PATH_BLOCKS = ("void solve_lambda_block_into(const LambdaBlockInputs& in) {\
                    "  run(in);\n}\n"
                    "void solve_a_block_into(const ABlockInputs& in) {\n"
                    "  run(in);\n}\n"
-                   "double lambda_model_step(const LambdaBlockInputs& in) {\n"
+                   "double lambda_model_root(const LambdaBlockInputs& in) {\n"
                    "  return run(in);\n}\n"
-                   "double a_block_scan(const ABlockInputs& in) {\n"
+                   "double support_spread(std::size_t count) {\n"
+                   "  return run(count);\n}\n"
+                   "bool project_on_support(std::span<double> point) {\n"
+                   "  return run(point);\n}\n"
+                   "AScan a_block_scan(const ABlockInputs& in) {\n"
                    "  return run(in);\n}\n")
+HOT_PATH_MATH = ("double simplex_threshold(std::span<const double> v) {\n"
+                 "  return run(v);\n}\n")
+HOT_PATH_MODEL = ("UfcBreakdown evaluate(const UfcProblem& problem) {\n"
+                  "  return run(problem);\n}\n")
 HOT_PATH_ROOTS = ("#pragma once\n"
                   "template <typename G>\n"
                   "double monotone_root(G&& g, double lo, double hi) {\n"
@@ -1236,7 +1250,9 @@ HOT_PATH_ROOTS = ("#pragma once\n"
                   "  return model(x0, g(lo)) + hi;\n}\n")
 DATACENTER_PASS = "void AdmgSolver::run_full_datacenter_pass() {\n  run();\n}\n"
 HOT_PATH_RUNTIME = ("void DistributedAdmgRuntime::step(int iteration) {\n"
-                    "  exchange(iteration);\n}\n")
+                    "  exchange(iteration);\n}\n"
+                    "double DistributedAdmgRuntime::objective() const {\n"
+                    "  return evaluate(problem_).ufc;\n}\n")
 
 # (case, rules checked, {path: text}, one message substring per expected
 # finding of those rules, after suppression)
@@ -1370,6 +1386,39 @@ FIXTURES = [
       "  Vec kept(b.size());\n  return scan(in, kept);\n}\n"
       "}  // namespace\n"},
      ["a_block_scan"]),
+    ("no_alloc_in_warm_support_projection_flagged", "no-alloc-in-step",
+     {"src/admm/blocks.cpp":
+      "namespace {\n"
+      "bool project_on_support(std::span<double> point,\n"
+      "                        std::span<const double> support) {\n"
+      "  const Vec before(point);\n  return check(before, support);\n}\n"
+      "}  // namespace\n"},
+     ["project_on_support"]),
+    # The objective runs on every traced or observed iteration: a row copy
+    # there allocates M vectors per iteration.
+    ("no_alloc_in_objective_row_copy_flagged", "no-alloc-in-step",
+     {"src/model/breakdown.cpp":
+      "UfcBreakdown evaluate(const UfcProblem& problem, const Mat& lambda,\n"
+      "                      const Vec& mu) {\n"
+      "  UfcBreakdown out;\n"
+      "  for (std::size_t i = 0; i < lambda.rows(); ++i) {\n"
+      "    const Vec row = lambda.row(i);\n"
+      "    out.utility += problem.average_latency_s(i, row);\n  }\n"
+      "  return out;\n}\n"},
+     ["evaluate"]),
+    ("no_alloc_in_objective_row_view_ok", "no-alloc-in-step",
+     {"src/model/breakdown.cpp":
+      "UfcBreakdown evaluate(const UfcProblem& problem, const Mat& lambda,\n"
+      "                      const Vec& mu) {\n"
+      "  UfcBreakdown out;\n"
+      "  for (std::size_t i = 0; i < lambda.rows(); ++i)\n"
+      "    out.utility += problem.average_latency_s(i, lambda.row_span(i));\n"
+      "  return out;\n}\n"}, CLEAN),
+    ("no_alloc_in_runtime_objective_flagged", "no-alloc-in-step",
+     {"src/net/runtime.cpp":
+      "double DistributedAdmgRuntime::objective() const {\n"
+      "  return ufc_objective(problem_, gather_lambda(), Vec(mu_));\n}\n"},
+     ["DistributedAdmgRuntime::objective"]),
     # The root finder is a header template; its probes run inside every
     # block solve, so a vector built there allocates once per solve.
     ("no_alloc_in_header_root_finder_flagged", "no-alloc-in-step",
@@ -1606,12 +1655,16 @@ FIXTURES = [
      {"src/admm/engine.cpp": HOT_PATH_ENGINE,
       "src/admm/admg.cpp": HOT_PATH_SOLVER + DATACENTER_PASS,
       "src/admm/blocks.cpp": HOT_PATH_BLOCKS,
+      "src/math/projections.cpp": HOT_PATH_MATH,
+      "src/model/breakdown.cpp": HOT_PATH_MODEL,
       "src/opt/scalar.hpp": HOT_PATH_ROOTS,
       "src/net/runtime.cpp": HOT_PATH_RUNTIME}, CLEAN),
     ("hot_path_live_entry_without_definition_flagged", "hot-path-live",
      {"src/admm/engine.cpp": HOT_PATH_ENGINE,
       "src/admm/admg.cpp": HOT_PATH_SOLVER,
       "src/admm/blocks.cpp": HOT_PATH_BLOCKS,
+      "src/math/projections.cpp": HOT_PATH_MATH,
+      "src/model/breakdown.cpp": HOT_PATH_MODEL,
       "src/opt/scalar.hpp": HOT_PATH_ROOTS,
       "src/net/runtime.cpp": HOT_PATH_RUNTIME}, ["run_full_datacenter_pass"]),
     # expects-reach

@@ -182,6 +182,7 @@ void AdmgSolver::step(int /*iteration*/) {
       0, m_, [&](std::size_t begin, std::size_t end, std::size_t c) {
         BlockWorkspace& ws = scratch_[c].blocks;
         std::uint64_t probes = 0;
+        std::uint64_t projections = 0;
         for (std::size_t i = begin; i < end; ++i) {
           if (partial_ && participate_[i] == 0) {
             // Straggler: the coordinator keeps this front-end's cached
@@ -195,7 +196,7 @@ void AdmgSolver::step(int /*iteration*/) {
           }
           // lambda_ still holds the previous step's lambda, where the
           // block's root search starts.
-          probes += static_cast<std::uint64_t>(solve_lambda_block_into(
+          const LambdaBlockWork work = solve_lambda_block_into(
               {.arrival = problem_.arrivals[i],
                .latency_row = problem_.latency_s.row_span(i),
                .a_row = a_.row_span(i),
@@ -203,9 +204,14 @@ void AdmgSolver::step(int /*iteration*/) {
                .rho = rule_.rho,
                .latency_weight = problem_.latency_weight,
                .utility = problem_.utility.get()},
-              lambda_.row_span(i), lambda_tilde_.row_span(i), ws));
+              lambda_.row_span(i), lambda_tilde_.row_span(i), ws);
+          probes += static_cast<std::uint64_t>(work.probes);
+          projections += static_cast<std::uint64_t>(work.projections);
         }
-        if (profile_) chunk_profiles_[c].lambda_probes += probes;
+        if (profile_) {
+          chunk_profiles_[c].lambda_probes += probes;
+          chunk_profiles_[c].lambda_projections += projections;
+        }
       });
 
   if (profile_)
@@ -225,6 +231,7 @@ void AdmgSolver::step(int /*iteration*/) {
       profile_last_.prediction_seconds += chunk.prediction_seconds;
       profile_last_.correction_seconds += chunk.correction_seconds;
       profile_last_.lambda_probes += chunk.lambda_probes;
+      profile_last_.lambda_projections += chunk.lambda_projections;
       profile_last_.a_passes += chunk.a_passes;
     }
   }
@@ -309,18 +316,23 @@ void AdmgSolver::run_full_datacenter_pass() {
               fold.change,
               correct_datacenter(dc, rule_, predicted, ws.a_new.span(), a_col,
                                  mu_[j], nu_[j], phi_[j]));
-          // The gate's folds over the corrected column: its sum in
-          // increasing-i order (bitwise equal to Mat::col_sum on the
+          // The gate's folds over the corrected column, in one loop: its
+          // sum in increasing-i order (bitwise equal to Mat::col_sum on the
           // transposed-back primary), its copy residual against lambda~
-          // (the next lambda) and its finiteness.
+          // (the next lambda) and its finiteness. x - x is 0 for a finite x
+          // and NaN for an infinite or NaN one, so `nonfinite` stays 0
+          // exactly while every entry is finite.
           double col_total = 0.0;
+          double nonfinite = 0.0;
           for (std::size_t i = 0; i < m_; ++i) {
             col_total += a_col[i];
             fold.copy = std::max(fold.copy, std::abs(a_col[i] - lambda_col[i]));
+            nonfinite += (a_col[i] - a_col[i]) +
+                         (lambda_col[i] - lambda_col[i]) +
+                         (varphi_col[i] - varphi_col[i]);
           }
           a_col_sum_post_[j] = col_total;
-          fold.finite = fold.finite && all_finite(a_col) &&
-                        all_finite(lambda_col) && all_finite(varphi_col) &&
+          fold.finite = fold.finite && !std::isnan(nonfinite) &&
                         std::isfinite(mu_[j]) && std::isfinite(nu_[j]) &&
                         std::isfinite(phi_[j]);
 

@@ -13,46 +13,31 @@ namespace ufc::admm {
 
 namespace {
 
-/// Secant steps the lambda block's model step takes at most.
+/// Secant steps the lambda block's model root takes at most.
 constexpr int kModelSecantSteps = 8;
 
-/// The lambda block's next probe after a probe at s left lambda(s) in
-/// `lambda`, with g(s) = s - L . lambda(s) and the pull p(s) it projected at.
-/// On the support S of lambda(s), lambda_j = base_j + p L_j - tau with tau
-/// fixed by sum_S lambda_j = A, so the routed latency is affine in the pull:
-///   L . lambda(y) = L . lambda(s) + v (p(y) - p(s)),
-///   v = sum_S L_j^2 - (sum_S L_j)^2 / |S| >= 0,
-/// for every y whose projection keeps the support S. The model's root,
-/// y = L . lambda(s) + v (p(y) - p(s)), lies between s and the slope-1
-/// point s - g(s) (the model equation has slope at least 1, like g); it is
-/// found by secant steps from those two points, which calls u' only and
-/// needs no projection, and is exact after one step when u' is affine (the
-/// quadratic and linear utilities). The support sums are centred on the
-/// row's mean latency, which keeps v's cancellation small.
-double lambda_model_step(const LambdaBlockInputs& in,
-                         std::span<const double> lambda, double latency_mean,
-                         double s, double g_s, double pull_s) {
-  double support = 0.0;
-  double first = 0.0;
-  double second = 0.0;
-  for (std::size_t j = 0; j < lambda.size(); ++j) {
-    if (lambda[j] > 0.0) {
-      const double d = in.latency_row[j] - latency_mean;
-      support += 1.0;
-      first += d;
-      second += d * d;
-    }
-  }
-  const double v =
-      support > 0.0 ? std::max(0.0, second - first * first / support) : 0.0;
-  const double routed = s - g_s;
+/// The lambda block's support model. On a projection support S,
+/// lambda_j = base_j + p L_j - tau with tau fixed by sum_S lambda_j = A, so
+/// the routed latency is affine in the pull p:
+///   L . lambda = r0 + v p,   v = sum_S d_j^2 - (sum_S d_j)^2 / |S| >= 0,
+/// with d_j = L_j - c for a centre c. Given the model's value `routed` at
+/// the pull p(s) = pull_s, its equation is
+///   y = routed + v (p(y) - pull_s),
+/// which has slope at least 1 like g. Its root lies between s and the
+/// slope-1 point `routed` and is found by secant steps from those two
+/// points, which call u' only and need no projection; it is exact after one
+/// step when u' is affine (the quadratic and linear utilities). The search
+/// asks for it at the start, on the warm row's support, and after each
+/// probe s, on that probe's support (routed = L . lambda(s) = s - g(s)).
+double lambda_model_root(const LambdaBlockInputs& in, double v, double s,
+                         double routed, double pull_s) {
   const double weight = in.latency_weight / in.rho;
   auto h = [&](double y) {
     return y - routed -
            v * (weight * in.utility->derivative(y / in.arrival) - pull_s);
   };
   double y0 = s;
-  double h0 = g_s;
+  double h0 = s - routed;
   double y1 = routed;
   double h1 = h(y1);
   for (int k = 0; k < kModelSecantSteps; ++k) {
@@ -69,6 +54,47 @@ double lambda_model_step(const LambdaBlockInputs& in,
   return y1;
 }
 
+/// v = sum_S d_j^2 - (sum_S d_j)^2 / |S| from a support's sums, 0 for an
+/// empty support; clamped at 0 against rounding.
+double support_spread(std::size_t count, double first, double second) {
+  return count > 0 ? std::max(0.0, second - first * first /
+                                           static_cast<double>(count))
+                   : 0.0;
+}
+
+/// Projects `point` (in place) onto the simplex of total `total` on the
+/// support S = {j : support[j] > 0}: tau = (sum_S point_j - total) / |S|,
+/// and point becomes max(point - tau, 0). Returns false, with `point` as it
+/// was, unless S is nonempty, point_j > tau on S and point_j <= tau off S:
+/// the projection's own optimality conditions, which make the result the
+/// projection itself.
+bool project_on_support(std::span<double> point,
+                        std::span<const double> support, double total) {
+  std::size_t count = 0;
+  double support_sum = 0.0;
+  for (std::size_t j = 0; j < point.size(); ++j) {
+    if (support[j] > 0.0) {
+      ++count;
+      support_sum += point[j];
+    }
+  }
+  if (count == 0) return false;
+  const double tau = (support_sum - total) / static_cast<double>(count);
+  std::size_t mismatches = 0;
+  for (std::size_t j = 0; j < point.size(); ++j)
+    mismatches +=
+        static_cast<std::size_t>((support[j] > 0.0) != (point[j] > tau));
+  if (mismatches > 0) return false;
+  for (double& x : point) x = std::max(x - tau, 0.0);
+  return true;
+}
+
+/// What the a block's scan found: t and the number of kept entries.
+struct AScan {
+  double t = 0.0;
+  std::size_t kept = 0;
+};
+
 /// The a block's scan (eq. (20)): writes b = lambda - varphi / rho - shift
 /// into `b` and returns the root t = S_K / (1 + |K| beta^2) of the uncapped
 /// equation, S_K = sum_K b_i over the support K = {i : b_i > beta^2 t}, or
@@ -81,9 +107,10 @@ double lambda_model_step(const LambdaBlockInputs& in,
 /// maximizes it), so a skipped entry is never in K. Michelot sweeps over
 /// the kept entries then drop those at or below the threshold, which only
 /// grows as entries drop, until the smallest survivor is above it: no sort
-/// and no start point. `candidates` holds the kept entries.
-double a_block_scan(const ABlockInputs& in, std::span<double> b,
-                    std::vector<double>& candidates) {
+/// and no start point. The first `kept` entries of `candidates` hold the
+/// entries kept when it returns.
+AScan a_block_scan(const ABlockInputs& in, std::span<double> b,
+                   std::vector<double>& candidates) {
   const std::size_t m = b.size();
   if (candidates.size() < m) candidates.resize(m);
   double* UFC_RESTRICT kept = candidates.data();
@@ -112,7 +139,8 @@ double a_block_scan(const ABlockInputs& in, std::span<double> b,
   for (;;) {
     const double t = total / (1.0 + static_cast<double>(count) * beta_sq);
     const double threshold = beta_sq * t;
-    if (count == 0 || t > in.capacity || smallest > threshold) return t;
+    if (count == 0 || t > in.capacity || smallest > threshold)
+      return {.t = t, .kept = count};
     const std::size_t before = count;
     count = 0;
     total = 0.0;
@@ -130,10 +158,11 @@ double a_block_scan(const ABlockInputs& in, std::span<double> b,
 
 }  // namespace
 
-int solve_lambda_block_into(const LambdaBlockInputs& in,
-                            std::span<const double> warm_start,
-                            std::span<double> out, BlockWorkspace& ws,
-                            const InnerSolverOptions& /*options*/) {
+LambdaBlockWork solve_lambda_block_into(const LambdaBlockInputs& in,
+                                        std::span<const double> warm_start,
+                                        std::span<double> out,
+                                        BlockWorkspace& ws,
+                                        const InnerSolverOptions& /*options*/) {
   UFC_EXPECTS(in.utility != nullptr);
   UFC_EXPECTS(in.rho > 0.0);
   UFC_EXPECTS(in.arrival >= 0.0);
@@ -143,15 +172,19 @@ int solve_lambda_block_into(const LambdaBlockInputs& in,
   UFC_EXPECTS(warm_start.size() == n);
   UFC_EXPECTS(out.size() == n);
 
+  LambdaBlockWork work;
   // A front-end with no arrivals routes nothing.
   if (in.arrival <= 0.0) {
     std::fill(out.begin(), out.end(), 0.0);
-    return 0;
+    return work;
   }
 
   // lambda(s) = P(base + pull(s) L), base = a + varphi / rho,
   // pull(s) = (w / rho) u'(s / A). The workspace never aliases the inputs,
-  // so the loops run on restrict-qualified pointers.
+  // so the loops run on restrict-qualified pointers. The same loop takes
+  // the support model's sums over the warm row's support S, centred on the
+  // latency of S's first entry: the count, sum d, sum d^2, sum d base and
+  // sum base.
   ws.base.resize(n);
   double* UFC_RESTRICT base = ws.base.data();
   const double* UFC_RESTRICT lat = in.latency_row.data();
@@ -163,6 +196,12 @@ int solve_lambda_block_into(const LambdaBlockInputs& in,
   double lat_sum = 0.0;
   double warm_sum = 0.0;
   double warm_routed = 0.0;
+  double centre = 0.0;
+  std::size_t support = 0;
+  double first = 0.0;
+  double second = 0.0;
+  double cross = 0.0;
+  double base_sum = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     base[j] = a[j] + varphi[j] / in.rho;
     lat_min = std::min(lat_min, lat[j]);
@@ -170,33 +209,83 @@ int solve_lambda_block_into(const LambdaBlockInputs& in,
     lat_sum += lat[j];
     warm_sum += warm[j];
     warm_routed += warm[j] * lat[j];
+    if (warm[j] > 0.0) {
+      if (support == 0) centre = lat[j];
+      const double d = lat[j] - centre;
+      ++support;
+      first += d;
+      second += d * d;
+      cross += d * base[j];
+      base_sum += base[j];
+    }
   }
-  const double lat_mean = lat_sum / static_cast<double>(n);
-  // The search starts at the previous iterate's s = L . lambda, rescaled to
-  // this arrival, or at the mean latency when that row routes nothing (the
-  // cold start, or a front-end whose arrivals were zero).
-  const double start = warm_sum > 0.0 ? in.arrival * warm_routed / warm_sum
-                                      : in.arrival * lat_mean;
   const double weight = in.latency_weight / in.rho;
+  // The search starts at the root of the support model on S, where
+  // L . lambda = r0 + v p with
+  //   r0 = c A + sum_S d_j base_j - (sum_S d_j)(sum_S base_j - A) / |S|,
+  // solved from the previous iterate's s = L . lambda rescaled to this
+  // arrival. It starts at that s itself when the root is not finite
+  // (std::clamp would pass a NaN through to the search), and at the mean
+  // latency when the warm row routes nothing (the cold start, or a
+  // front-end whose arrivals were zero).
+  double start = warm_sum > 0.0
+                     ? in.arrival * warm_routed / warm_sum
+                     : in.arrival * lat_sum / static_cast<double>(n);
+  if (support > 0) {
+    const double r0 =
+        centre * in.arrival + cross -
+        first * (base_sum - in.arrival) / static_cast<double>(support);
+    const double v = support_spread(support, first, second);
+    const double pull0 = weight * in.utility->derivative(start / in.arrival);
+    const double modelled =
+        lambda_model_root(in, v, start, r0 + v * pull0, pull0);
+    if (std::isfinite(modelled)) start = modelled;
+  }
+
   // Each probe leaves lambda(s) in out and its pull in `pull`; the root
-  // search returns at its last probe, so out ends at the root.
-  int probes = 0;
+  // search returns at its last probe, so out ends at the root. A probe
+  // projects on the support it expects when that is the projection's
+  // support there: the first on S, each later one on the last probe's
+  // support (a copy of the last lambda(s) in the scratch).
+  if (ws.scratch.size() < n) ws.scratch.resize(n);
+  const std::span<const double> last_probe(ws.scratch.data(), n);
   double pull = 0.0;
   auto gap = [&](double s) {
-    ++probes;
+    if (work.probes > 0) std::copy(out.begin(), out.end(), ws.scratch.begin());
+    const std::span<const double> expected =
+        work.probes > 0 ? last_probe : warm_start;
+    ++work.probes;
     pull = weight * in.utility->derivative(s / in.arrival);
     for (std::size_t j = 0; j < n; ++j) out[j] = base[j] + pull * lat[j];
-    project_simplex_into(out, in.arrival, out, ws.scratch);
+    if (!project_on_support(out, expected, in.arrival)) {
+      ++work.projections;
+      project_simplex_into(out, in.arrival, out, ws.scratch);
+    }
     double routed = 0.0;
     for (std::size_t j = 0; j < n; ++j) routed += out[j] * lat[j];
     return s - routed;
   };
+  // Later probes go to the root of the model on the last probe's support.
   auto model = [&](double s, double g_s) {
-    return lambda_model_step(in, out, lat_mean, s, g_s, pull);
+    std::size_t count = 0;
+    double origin = 0.0;
+    double sum_d = 0.0;
+    double sum_d2 = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (out[j] > 0.0) {
+        if (count == 0) origin = lat[j];
+        const double d = lat[j] - origin;
+        ++count;
+        sum_d += d;
+        sum_d2 += d * d;
+      }
+    }
+    return lambda_model_root(in, support_spread(count, sum_d, sum_d2), s,
+                             s - g_s, pull);
   };
   monotone_root_from(gap, model, start, in.arrival * lat_min,
                      in.arrival * lat_max);
-  return probes;
+  return work;
 }
 
 double solve_mu_block(const MuBlockInputs& in) {
@@ -243,15 +332,21 @@ int solve_a_block_into(const ABlockInputs& in,
   UFC_EXPECTS(out.size() == m);
 
   // a(t) = P(b - beta^2 t); the scan leaves b in out.
-  const double t = a_block_scan(in, out, ws.scratch);
-  if (t > in.capacity) {
+  const AScan scan = a_block_scan(in, out, ws.kept);
+  if (scan.t > in.capacity) {
     // The cap binds: the root is t = S_j, where a = P(b - beta^2 S_j) sums
     // to the cap, i.e. the simplex projection of b at total S_j (a common
-    // shift of every entry moves no projection). A second pass.
-    project_simplex_into(out, in.capacity, out, ws.scratch);
+    // shift of every entry moves no projection). Its threshold lies above
+    // the uncapped beta^2 t, which no entry the scan skipped or the sweeps
+    // dropped passes, so the kept entries alone fix it. A second pass: the
+    // threshold of the kept entries, and the write.
+    const double tau = simplex_threshold(
+        std::span<const double>(ws.kept).first(scan.kept), in.capacity,
+        ws.scratch);
+    for (std::size_t i = 0; i < m; ++i) out[i] = std::max(out[i] - tau, 0.0);
     return 2;
   }
-  const double threshold = in.beta * in.beta * t;
+  const double threshold = in.beta * in.beta * scan.t;
   for (std::size_t i = 0; i < m; ++i)
     out[i] = std::max(out[i] - threshold, 0.0);
   return 1;

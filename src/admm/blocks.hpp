@@ -27,15 +27,17 @@ namespace ufc::admm {
 struct InnerSolverOptions {};
 
 /// Reusable scratch for the *_into block solvers, one instance per worker
-/// thread. Both buffers reach their steady size on the first solve at the
+/// thread. The buffers reach their steady size on the first solve at the
 /// larger of the row and column lengths and are never reallocated after:
 /// Vec::resize and std::vector::resize keep capacity when shrinking.
 struct BlockWorkspace {
   /// The part of the lambda block's projected point that no probe changes.
   Vec base;
-  /// The simplex projection's candidate lists, and the a block's kept
-  /// entries.
+  /// The simplex projection's candidate lists, and the lambda block's copy
+  /// of its last probe's projection.
   std::vector<double> scratch;
+  /// The a block's kept entries, which a capped column thresholds.
+  std::vector<double> kept;
 };
 
 // ---------------------------------------------------------------------------
@@ -50,9 +52,13 @@ struct BlockWorkspace {
 // at the s with L_i . lambda(s) = s. For concave u the left side falls as s
 // grows, so g(s) = s - L_i . lambda(s) has slope at least 1 and one root on
 // [A_i min L_i, A_i max L_i]; monotone_root_from (opt/scalar.hpp) finds it
-// with one projection per probe, starting at the previous iterate's s. Its
-// model step is the root of the equation on the last probe's projection
-// support, where L_i . lambda is affine in the pull (w/rho) u'(s/A_i).
+// with one projection per probe. On a fixed projection support L_i . lambda
+// is affine in the pull (w/rho) u'(s/A_i), and the search uses that support
+// model twice: the first probe goes to the model's root on the previous
+// iterate's support, and each later probe to the model's root on the last
+// probe's support. The first probe also projects on the previous support
+// when the projection's optimality conditions hold there, with no Condat
+// call; a start on the root's support ends the search after that one probe.
 
 // The row/column inputs are non-owning views (the solver hands out
 // Mat::row_span / workspace columns without copying): the backing storage
@@ -67,18 +73,28 @@ struct LambdaBlockInputs {
   const UtilityFunction* utility = nullptr; ///< non-owning, non-null.
 };
 
+/// The work of one lambda block solve.
+struct LambdaBlockWork {
+  int probes = 0;       ///< Root-search probes, one projection each.
+  /// Probes projected by Condat's method; the others were projected on the
+  /// warm start's support.
+  int projections = 0;
+};
+
 /// Writes the exact minimizer into `out` (sized N; it must not alias the
 /// inputs or `warm_start`). No heap allocation once `ws` is warm. The solve
 /// is exact from any start; `warm_start` (the previous lambda_i, sized N)
-/// only picks where the root search starts: at
-/// s0 = A_i (L_i . warm) / sum(warm), or at A_i mean(L_i) when the row sums
-/// to zero. A start near the root saves probes, not accuracy. Returns the
-/// number of probes (one projection each) the search took; 0 for a
-/// front-end with no arrivals.
-int solve_lambda_block_into(const LambdaBlockInputs& in,
-                            std::span<const double> warm_start,
-                            std::span<double> out, BlockWorkspace& ws,
-                            const InnerSolverOptions& options = {});
+/// only picks where the root search starts and which support the first
+/// probe tries: the root of the support model on warm_start's support, or
+/// s0 = A_i (L_i . warm) / sum(warm) when that root is not finite, or
+/// A_i mean(L_i) when the row routes nothing. A start near the root saves
+/// probes, not accuracy. Returns the probes and Condat projections the
+/// solve took; both 0 for a front-end with no arrivals.
+LambdaBlockWork solve_lambda_block_into(const LambdaBlockInputs& in,
+                                        std::span<const double> warm_start,
+                                        std::span<double> out,
+                                        BlockWorkspace& ws,
+                                        const InnerSolverOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Step 1.2 — mu-minimization, one scalar per datacenter j (eq. (18));
@@ -138,7 +154,9 @@ double solve_nu_block(const NuBlockInputs& in);
 // and one scan of b (keeping the entries above a running threshold) plus
 // Michelot sweeps over the kept entries find K without a sort or a search.
 // When that t exceeds S_j the cap binds: t = S_j and a is the simplex
-// projection of b at total S_j.
+// projection of b at total S_j, whose threshold lies above every entry the
+// scan and sweeps dropped, so it is the simplex threshold of the kept
+// entries alone.
 
 // Column inputs are non-owning views; see LambdaBlockInputs.
 struct ABlockInputs {
@@ -155,11 +173,11 @@ struct ABlockInputs {
 
 /// Writes the exact minimizer into `out` (sized M, not aliasing the inputs)
 /// and returns the number of passes over the column it took: 1 for the
-/// scan, 2 when the cap binds and the simplex projection follows (the
-/// sweeps run over the scan's kept entries only). No heap allocation once
-/// `ws` is warm. `warm_start` is not read (the solve has no
-/// start point); it stays in the signature for perfbench's call, and goes
-/// with InnerSolverOptions.
+/// scan, 2 when the cap binds and the kept entries' simplex threshold and
+/// the write follow (the sweeps and the threshold run over the scan's kept
+/// entries only). No heap allocation once `ws` is warm. `warm_start` is not
+/// read (the solve has no start point); it stays in the signature for
+/// perfbench's call, and goes with InnerSolverOptions.
 int solve_a_block_into(const ABlockInputs& in,
                        std::span<const double> warm_start,
                        std::span<double> out, BlockWorkspace& ws,

@@ -69,9 +69,8 @@ class ReducedProblem {
                dc.emission_cost->value(kappa * nu);
     }
     for (std::size_t i = 0; i < m; ++i) {
-      const Vec row = lambda.row(i);
       total -= p_.latency_weight * p_.arrivals[i] *
-               p_.utility->value(p_.average_latency_s(i, row));
+               p_.utility->value(p_.average_latency_s(i, lambda.row_span(i)));
     }
     return total;
   }
@@ -89,9 +88,8 @@ class ReducedProblem {
     }
     for (std::size_t i = 0; i < m; ++i) {
       if (p_.arrivals[i] <= 0.0) continue;
-      const Vec row = lambda.row(i);
-      const double uprime =
-          p_.utility->derivative(p_.average_latency_s(i, row));
+      const double uprime = p_.utility->derivative(
+          p_.average_latency_s(i, lambda.row_span(i)));
       for (std::size_t j = 0; j < n; ++j)
         g[i * n + j] -= p_.latency_weight * uprime * p_.latency_s(i, j);
     }

@@ -30,10 +30,13 @@ struct PhaseProfile {
   double gate_seconds = 0.0;
   /// Work counts of the iteration's block solves, summed over front-ends
   /// and datacenters, not times: equal for every thread count. The lambda
-  /// block's root-search probes (one projection each) and the a block's
-  /// passes over its column (the scan, plus the simplex projection of a
-  /// column whose cap binds).
+  /// block's root-search probes (one projection each), the Condat
+  /// projections among them (the other probes were projected on the
+  /// previous iterate's support), and the a block's passes over its column
+  /// (the scan, plus the kept entries' threshold and the write of a column
+  /// whose cap binds).
   std::uint64_t lambda_probes = 0;
+  std::uint64_t lambda_projections = 0;
   std::uint64_t a_passes = 0;
 
   double total_seconds() const {

@@ -93,14 +93,18 @@ void Mat::transpose_block_into(Mat& out, std::size_t row_begin,
   UFC_EXPECTS(col_begin <= col_end && col_end <= cols_);
   // 32x32 tiles (8 KiB) keep one row stripe of the source and one column
   // stripe of the destination resident in L1 together, so every cache line
-  // touched is fully consumed before eviction.
+  // touched is fully consumed before eviction. Inside a tile the
+  // destination is written in order and the source read down a column: a
+  // write that walks a destination column steps rows() doubles each time,
+  // and at row lengths of a power of two those writes share a few L1 sets
+  // and miss on every one.
   constexpr std::size_t kBlock = 32;
   for (std::size_t rb = row_begin; rb < row_end; rb += kBlock) {
     const std::size_t rend = std::min(row_end, rb + kBlock);
     for (std::size_t cb = col_begin; cb < col_end; cb += kBlock) {
       const std::size_t cend = std::min(col_end, cb + kBlock);
-      for (std::size_t r = rb; r < rend; ++r)
-        for (std::size_t c = cb; c < cend; ++c)
+      for (std::size_t c = cb; c < cend; ++c)
+        for (std::size_t r = rb; r < rend; ++r)
           out.data_[c * rows_ + r] = data_[r * cols_ + c];
     }
   }

@@ -34,21 +34,13 @@ Vec project_capped_simplex(const Vec& v, double cap) {
 // (`active`) and the running threshold rho = (sum(active) - total)/|active|;
 // elements that invalidate the candidate demote the whole active set to a
 // waiting list, revisited once at the end, followed by a pruning sweep that
-// removes elements at or below the final threshold. Exact projection, O(n)
-// expected; tau is accumulated incrementally, so it can differ from a
-// sorted-prefix computation by a few ulps.
-void project_simplex_into(std::span<const double> v, double total,
-                          std::span<double> out,
-                          std::vector<double>& scratch) {
+// removes elements at or below the final threshold. Exact, O(n) expected;
+// tau is accumulated incrementally, so it can differ from a sorted-prefix
+// computation by a few ulps.
+double simplex_threshold(std::span<const double> v, double total,
+                         std::vector<double>& scratch) {
   UFC_EXPECTS(total >= 0.0);
   UFC_EXPECTS(!v.empty());
-  UFC_EXPECTS(out.size() == v.size());
-  // ufc-lint: allow(float-equal) — exact-zero guard: the degenerate
-  // zero-mass simplex has the all-zeros point as its only member.
-  if (total == 0.0) {
-    std::fill(out.begin(), out.end(), 0.0);
-    return;
-  }
   const std::size_t n = v.size();
   if (scratch.size() < n) scratch.resize(n);
   // scratch holds both lists: the active candidate support grows upward from
@@ -97,8 +89,10 @@ void project_simplex_into(std::span<const double> v, double total,
       const double y = active[k];
       if (y > rho || active_count == 1) {
         // The single-survivor guard is unreachable in exact arithmetic
-        // (rho = y - total < y when total > 0) but keeps the support
-        // nonempty if total underflows against a huge entry.
+        // when total > 0 (rho = y - total < y) but keeps the support
+        // nonempty if total underflows against a huge entry. At total = 0
+        // the scan ends with the largest entry alone and rho equal to it,
+        // and the guard keeps it.
         active[kept++] = y;
       } else {
         --active_count;
@@ -108,9 +102,24 @@ void project_simplex_into(std::span<const double> v, double total,
     if (kept == before) break;
   }
   UFC_ENSURES(active_count > 0);
-  const double tau = rho;
+  return rho;
+}
+
+void project_simplex_into(std::span<const double> v, double total,
+                          std::span<double> out,
+                          std::vector<double>& scratch) {
+  UFC_EXPECTS(total >= 0.0);
+  UFC_EXPECTS(!v.empty());
+  UFC_EXPECTS(out.size() == v.size());
+  // ufc-lint: allow(float-equal) — exact-zero guard: the degenerate
+  // zero-mass simplex has the all-zeros point as its only member.
+  if (total == 0.0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  const double tau = simplex_threshold(v, total, scratch);
   // tau depends only on scratch, so out may alias v.
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::max(v[i] - tau, 0.0);
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::max(v[i] - tau, 0.0);
 }
 
 void project_capped_simplex_into(std::span<const double> v, double cap,

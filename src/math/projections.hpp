@@ -28,9 +28,17 @@ Vec project_simplex(const Vec& v, double total);
 /// Projects v onto {x >= 0, sum x <= cap}. Requires cap >= 0.
 Vec project_capped_simplex(const Vec& v, double cap);
 
-/// Allocation-free simplex projection writing into `out` (out may alias v).
-/// `scratch` is reused across calls and grows to v.size() once; the
-/// allocating project_simplex gives the same bits.
+/// The simplex projection's threshold: the tau with
+/// sum_i max(v_i - tau, 0) = total, by Condat's scan. `scratch` holds the
+/// candidate lists (it must not alias v) and grows to v.size() once. At
+/// total = 0 it is the largest entry, so max(v_i - tau, 0) is all zeros.
+double simplex_threshold(std::span<const double> v, double total,
+                         std::vector<double>& scratch);
+
+/// Allocation-free simplex projection writing into `out` (out may alias v):
+/// simplex_threshold, then one write pass. `scratch` is reused across calls
+/// and grows to v.size() once; the allocating project_simplex gives the
+/// same bits.
 void project_simplex_into(std::span<const double> v, double total,
                           std::span<double> out, std::vector<double>& scratch);
 

@@ -22,8 +22,8 @@ UfcBreakdown evaluate(const UfcProblem& problem, const Mat& lambda,
   // Workload utility.
   double latency_weighted = 0.0;
   for (std::size_t i = 0; i < problem.num_front_ends(); ++i) {
-    const Vec row = lambda.row(i);
-    const double avg_latency = problem.average_latency_s(i, row);
+    const double avg_latency =
+        problem.average_latency_s(i, lambda.row_span(i));
     out.utility += problem.latency_weight * problem.arrivals[i] *
                    problem.utility->value(avg_latency);
     latency_weighted += problem.arrivals[i] * avg_latency;
@@ -70,9 +70,9 @@ double min_objective(const UfcProblem& problem, const Mat& lambda,
              problem.fuel_cell_price * mu[j];
   }
   for (std::size_t i = 0; i < problem.num_front_ends(); ++i) {
-    const Vec row = lambda.row(i);
     total -= problem.latency_weight * problem.arrivals[i] *
-             problem.utility->value(problem.average_latency_s(i, row));
+             problem.utility->value(
+                 problem.average_latency_s(i, lambda.row_span(i)));
   }
   return total;
 }

@@ -31,9 +31,8 @@ IndexMetrics complementary_indexes(const UfcProblem& problem,
 
   double latency_weighted = 0.0;
   for (std::size_t i = 0; i < problem.num_front_ends(); ++i) {
-    const Vec row = lambda.row(i);
-    latency_weighted +=
-        problem.arrivals[i] * problem.average_latency_s(i, row);
+    latency_weighted += problem.arrivals[i] *
+                        problem.average_latency_s(i, lambda.row_span(i));
   }
   const double total_arrivals = problem.total_arrivals();
   const double mean_latency_s =

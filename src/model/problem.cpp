@@ -48,8 +48,8 @@ double UfcProblem::max_latency_s() const {
   return m;
 }
 
-double UfcProblem::average_latency_s(std::size_t i,
-                                     const Vec& lambda_row) const {
+double UfcProblem::average_latency_s(
+    std::size_t i, std::span<const double> lambda_row) const {
   UFC_EXPECTS(i < arrivals.size());
   UFC_EXPECTS(lambda_row.size() == num_datacenters());
   if (arrivals[i] <= 0.0) return 0.0;

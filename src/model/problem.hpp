@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,8 +75,10 @@ struct UfcProblem {
   double max_latency_s() const;
 
   /// Request-weighted average latency at front-end i for routing row
-  /// lambda_i, in seconds. Zero-arrival front-ends report zero.
-  double average_latency_s(std::size_t i, const Vec& lambda_row) const;
+  /// lambda_i, in seconds. Zero-arrival front-ends report zero. The row is
+  /// a view (Mat::row_span), so no caller copies it.
+  double average_latency_s(std::size_t i,
+                           std::span<const double> lambda_row) const;
 
   /// Throws ContractViolation if the instance is malformed or infeasible
   /// (e.g. null function pointers, negative arrivals, total arrivals

@@ -47,9 +47,10 @@ std::size_t FrontEndAgent::position_of(NodeId source) const {
   return static_cast<std::size_t>(it - ids.begin());
 }
 
-int FrontEndAgent::send_proposals(Transport& bus, int iteration) {
+admm::LambdaBlockWork FrontEndAgent::send_proposals(Transport& bus,
+                                                    int iteration) {
   UFC_EXPECTS(iteration >= 0);
-  const int probes = admm::solve_lambda_block_into(
+  const admm::LambdaBlockWork work = admm::solve_lambda_block_into(
       {.arrival = config_.arrival,
        .latency_row = config_.latency_row_s.span(),
        .a_row = a_.span(),
@@ -68,7 +69,7 @@ int FrontEndAgent::send_proposals(Transport& bus, int iteration) {
     msg.payload = {lambda_tilde_[j], varphi_[j]};
     bus.send(std::move(msg));
   }
-  return probes;
+  return work;
 }
 
 void FrontEndAgent::process_assignments(Transport& bus, int iteration) {

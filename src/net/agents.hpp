@@ -57,8 +57,9 @@ class FrontEndAgent {
   /// Procedure 1: solve the lambda block from local state and send
   /// (lambda~_ij, varphi_ij^k) to every datacenter. Runs on any Transport —
   /// in-process bus or socket-backed — unchanged. Returns the lambda
-  /// block's probe count (admm::PhaseProfile::lambda_probes).
-  int send_proposals(Transport& bus, int iteration);
+  /// block's work (admm::PhaseProfile::lambda_probes and
+  /// lambda_projections).
+  admm::LambdaBlockWork send_proposals(Transport& bus, int iteration);
 
   /// Procedures 4-5 + correction: consume the datacenters' a~_ij replies,
   /// update the local dual, apply the back-substitution corrections, and

@@ -108,6 +108,9 @@ void DistributedAdmgRuntime::build_agents() {
     front_ends_.emplace_back(std::move(cfg));
   }
 
+  objective_lambda_ = Mat(m, n);
+  objective_mu_ = Vec(n);
+
   datacenters_.clear();
   datacenters_.reserve(n);
   for (std::size_t j = 0; j < n; ++j) {
@@ -170,10 +173,14 @@ void DistributedAdmgRuntime::step(int iteration) {
   change_ = 0.0;
   profile_last_ = admm::PhaseProfile{};
   const auto& faults = bus_.config().faults;
-  for (auto& fe : front_ends_)
-    if (!faults.node_down(fe.id(), iteration))
-      profile_last_.lambda_probes += static_cast<std::uint64_t>(
-          fe.send_proposals(*transport_, iteration));
+  for (auto& fe : front_ends_) {
+    if (faults.node_down(fe.id(), iteration)) continue;
+    const admm::LambdaBlockWork work =
+        fe.send_proposals(*transport_, iteration);
+    profile_last_.lambda_probes += static_cast<std::uint64_t>(work.probes);
+    profile_last_.lambda_projections +=
+        static_cast<std::uint64_t>(work.projections);
+  }
   if (socket_ == nullptr) {
     for (auto& dc : datacenters_) {
       if (faults.node_down(dc.id(), iteration)) continue;
@@ -388,7 +395,13 @@ bool DistributedAdmgRuntime::inputs_fresh(int iteration) const {
 }
 
 double DistributedAdmgRuntime::objective() const {
-  return ufc_objective(problem_, gather_lambda(), gather_mu());
+  // The values gather_lambda() and gather_mu() would return, in buffers
+  // that outlive the call: bitwise the same objective.
+  for (std::size_t i = 0; i < front_ends_.size(); ++i)
+    objective_lambda_.set_row(i, front_ends_[i].lambda().span());
+  for (std::size_t j = 0; j < datacenters_.size(); ++j)
+    objective_mu_[j] = datacenters_[j].mu();
+  return ufc_objective(problem_, objective_lambda_, objective_mu_);
 }
 
 DistributedReport DistributedAdmgRuntime::run() {

@@ -108,10 +108,10 @@ class DistributedAdmgRuntime final : public admm::BlockExecutor {
   /// reported.
   void step(int iteration) override;
   void set_phase_profiling(bool enabled) override { profile_ = enabled; }
-  /// The last round's work counts: the front-ends' lambda probes and the a
-  /// passes of the datacenters this process runs (none in a fleet, whose
-  /// datacenters count in their worker processes). The phase times stay 0;
-  /// the engine times the gate.
+  /// The last round's work counts: the front-ends' lambda probes and Condat
+  /// projections, and the a passes of the datacenters this process runs
+  /// (none in a fleet, whose datacenters count in their worker processes).
+  /// The phase times stay 0; the engine times the gate.
   const admm::PhaseProfile* phase_profile() const override {
     return profile_ ? &profile_last_ : nullptr;
   }
@@ -238,6 +238,10 @@ class DistributedAdmgRuntime final : public admm::BlockExecutor {
   bool topology_changed_ = false;
   bool profile_ = false;               ///< See set_phase_profiling().
   admm::PhaseProfile profile_last_;    ///< See phase_profile().
+  /// objective()'s gathered lambda and mu, sized by build_agents() for the
+  /// current membership, so the per-iteration objective allocates nothing.
+  mutable Mat objective_lambda_;
+  mutable Vec objective_mu_;
 };
 
 }  // namespace ufc::net

@@ -27,6 +27,8 @@ void MetricsObserver::on_iteration(const admm::IterationSample& sample) {
         .observe(phases.gate_seconds);
     registry_.counter(prefix_ + ".block.lambda_probes")
         .add(phases.lambda_probes);
+    registry_.counter(prefix_ + ".block.lambda_projections")
+        .add(phases.lambda_projections);
     registry_.counter(prefix_ + ".block.a_passes").add(phases.a_passes);
   }
 }

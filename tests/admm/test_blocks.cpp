@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -75,6 +76,41 @@ std::vector<std::pair<std::string, Vec>> warm_starts(const Vec& solution,
           {"exact", solution},
           {"random", random},
           {"extreme", extreme}};
+}
+
+/// Warm rows shaped by the minimizer's support S, which the first probe
+/// tries: a strict superset of S (a quarter of the total moved to the first
+/// entry off S), a strict subset (the total on S's first entry) and a row
+/// disjoint from S (the total on the first entry off S). A shape that S
+/// does not allow (S is everything, or a single entry) is left out.
+std::vector<std::pair<std::string, Vec>> support_starts(const Vec& solution,
+                                                        double total) {
+  const std::size_t size = solution.size();
+  std::size_t inside = size, outside = size, count = 0;
+  for (std::size_t j = 0; j < size; ++j) {
+    if (solution[j] > 0.0) {
+      ++count;
+      if (inside == size) inside = j;
+    } else if (outside == size) {
+      outside = j;
+    }
+  }
+  std::vector<std::pair<std::string, Vec>> starts;
+  if (outside < size) {
+    Vec superset = solution;
+    for (auto& v : superset) v *= 0.75;
+    superset[outside] = 0.25 * total;
+    starts.emplace_back("superset", superset);
+    Vec disjoint(size, 0.0);
+    disjoint[outside] = total;
+    starts.emplace_back("disjoint", disjoint);
+  }
+  if (count >= 2) {
+    Vec subset(size, 0.0);
+    subset[inside] = total;
+    starts.emplace_back("subset", subset);
+  }
+  return starts;
 }
 
 double lambda_block_objective(const LambdaBlockInputs& in, const Vec& lambda) {
@@ -239,14 +275,16 @@ TEST_P(LambdaBlockProperty, SatisfiesFirstOrderConditions) {
       if (in.arrival <= 0.0) continue;
       EXPECT_LE(lambda_block_residual(in, solution), kExactResidual)
           << utility->name() << " " << shape;
-      // Every warm start, the worst-latency datacenter's included, reaches
-      // the same minimizer.
+      // Every warm start, the worst-latency datacenter's and those shaped by
+      // the minimizer's support included, reaches the same minimizer.
       const auto row = in.latency_row;
       const auto worst = static_cast<std::size_t>(
           std::max_element(row.begin(), row.end()) - row.begin());
       Rng warm_rng(GetParam() + 100);
-      for (const auto& [start, warm] :
-           warm_starts(solution, in.arrival, worst, warm_rng)) {
+      auto starts = warm_starts(solution, in.arrival, worst, warm_rng);
+      for (auto& shaped : support_starts(solution, in.arrival))
+        starts.push_back(std::move(shaped));
+      for (const auto& [start, warm] : starts) {
         const Vec warm_solution = solve_lambda(in, warm);
         EXPECT_LE(lambda_block_residual(in, warm_solution), kExactResidual)
             << utility->name() << " " << shape << " from " << start;
@@ -267,7 +305,9 @@ TEST(LambdaBlock, SupportChangesBetweenStartAndRoot) {
   // start drops datacenters that the root's support keeps, for the
   // exponential and quadratic utilities; the search still ends at the exact
   // minimizer in a few probes. The linear utility's pull is constant, so
-  // its support is the same at every s and the model lands on the root.
+  // its support is the same at every s and the model lands on the root. A
+  // single-entry warm row's support model has v = 0, so its root is
+  // A * 0.045, the start s0 of the row.
   const Vec latency{0.005, 0.02, 0.045}, a_row{0.3, 0.5, 0.2},
       varphi_row{0.0, 0.0, 0.0};
   const Vec slowest{0.0, 0.0, 1.0};
@@ -312,13 +352,100 @@ TEST(LambdaBlock, SupportChangesBetweenStartAndRoot) {
     Vec solution(3);
     BlockWorkspace ws;
     const int probes =
-        solve_lambda_block_into(in, slowest.span(), solution.span(), ws);
+        solve_lambda_block_into(in, slowest.span(), solution.span(), ws)
+            .probes;
     EXPECT_EQ(support(at_start) != support(solution), c.support_changes)
         << label;
     EXPECT_LE(lambda_block_residual(in, solution), kExactResidual) << label;
     EXPECT_LE(max_abs_diff(solution, solve_lambda(in)), kSameMinimizer)
         << label;
     EXPECT_LE(probes, c.support_changes ? 6 : 2) << label;
+  }
+}
+
+TEST(LambdaBlock, WarmRowOnTheRootSupportCostsOneProbe) {
+  // Re-solving from the minimizer itself: the support model's root on its
+  // support is the root, and the first probe's projection on that support
+  // meets the optimality conditions, so the search ends after one probe
+  // with no Condat call. The weights keep the pull (w / rho) u' L within
+  // a few arrivals, so the rounding of g at that probe stays inside the
+  // root tolerance; with pulls thousands of times the arrival it can end a
+  // few ulps outside it, and the search takes a second probe on the same
+  // support (0.6% of rows drawn like LambdaBlockProperty's), which costs a
+  // probe, not accuracy.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed + 500);
+    const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform_int(0, 6));
+    Vec latency(n), a_row(n), varphi_row(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      latency[j] = rng.uniform(0.002, 0.05);
+      a_row[j] = rng.uniform(0.0, 1.0);
+      varphi_row[j] = rng.uniform(-0.5, 0.5);
+    }
+    for (const auto& utility : every_utility()) {
+      LambdaBlockInputs in;
+      in.arrival = rng.uniform(0.2, 3.0);
+      in.latency_row = latency.span();
+      in.a_row = a_row.span();
+      in.varphi_row = varphi_row.span();
+      in.rho = rng.uniform(1.0, 10.0);
+      in.latency_weight = rng.uniform(0.1, 2.0);
+      in.utility = utility.get();
+      const std::string label =
+          utility->name() + " seed " + std::to_string(seed);
+
+      const Vec solution = solve_lambda(in);
+      Vec again(n);
+      BlockWorkspace ws;
+      const LambdaBlockWork work =
+          solve_lambda_block_into(in, solution.span(), again.span(), ws);
+      EXPECT_EQ(work.probes, 1) << label;
+      EXPECT_EQ(work.projections, 0) << label;
+      EXPECT_LE(max_abs_diff(again, solution),
+                kSameMinimizer * std::max(1.0, in.arrival))
+          << label;
+    }
+  }
+}
+
+TEST(LambdaBlock, TiesAtTheThresholdGetNothing) {
+  // The linear utility's pull is the constant -w / rho = -4, so every probe
+  // projects y = a + pull L = (3, 2, 1) exactly. At A = 1 the support is
+  // {0} with tau = 3 - 1 = 2, and y_1 sits exactly at tau. A warm row on
+  // {0} meets the optimality conditions with the tie off its support; a
+  // warm row on {0, 1} fails them (y_1 > tau does not hold) and falls back
+  // to Condat. Every start ends at (1, 0, 0).
+  LinearUtility utility;
+  const Vec latency{0.25, 0.5, 0.75}, a_row{4.0, 4.0, 4.0},
+      varphi_row{0.0, 0.0, 0.0};
+  LambdaBlockInputs in;
+  in.arrival = 1.0;
+  in.latency_row = latency.span();
+  in.a_row = a_row.span();
+  in.varphi_row = varphi_row.span();
+  in.rho = 1.0;
+  in.latency_weight = 4.0;
+  in.utility = &utility;
+  struct Start {
+    const char* name;
+    Vec warm;
+    int projections;
+  };
+  const Start starts[] = {{"zero", Vec{0.0, 0.0, 0.0}, 1},
+                          {"root support", Vec{1.0, 0.0, 0.0}, 0},
+                          {"tied entry in support", Vec{0.5, 0.5, 0.0}, 1},
+                          {"disjoint", Vec{0.0, 0.0, 1.0}, 1}};
+  for (const Start& start : starts) {
+    Vec solution(3);
+    BlockWorkspace ws;
+    const LambdaBlockWork work =
+        solve_lambda_block_into(in, start.warm.span(), solution.span(), ws);
+    EXPECT_EQ(solution[0], 1.0) << start.name;
+    EXPECT_EQ(solution[1], 0.0) << start.name;
+    EXPECT_EQ(solution[2], 0.0) << start.name;
+    EXPECT_EQ(work.projections, start.projections) << start.name;
+    EXPECT_LE(lambda_block_residual(in, solution), kExactResidual)
+        << start.name;
   }
 }
 
@@ -551,7 +678,11 @@ Vec reference_a_block(const ABlockInputs& in) {
 TEST(ABlock, MatchesTheRootSearchForm) {
   // Random columns as drawn and in the cases the closed form treats on its
   // own: the cap binding, the cap exactly met (t* = S_j), no coupling
-  // (beta = 0), and every b_i <= 0.
+  // (beta = 0), every b_i <= 0, and a capacity of 0. In the "descending"
+  // case b falls along the column, so the scan keeps exactly the uncapped
+  // support and a cap below its t is proven on the scan's first check,
+  // before any sweep; the "tight" case proves a tiny cap there in any
+  // order.
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed + 300);
     const std::size_t m = 1 + static_cast<std::size_t>(rng.uniform_int(0, 9));
@@ -560,6 +691,9 @@ TEST(ABlock, MatchesTheRootSearchForm) {
       varphi_col[i] = rng.uniform(-1.0, 1.0);
       lambda_col[i] = rng.uniform(0.0, 1.0);
     }
+    Vec descending = lambda_col;
+    std::sort(descending.begin(), descending.end(), std::greater<>());
+    const Vec no_varphi(m, 0.0);
     ABlockInputs drawn;
     drawn.alpha = rng.uniform(0.0, 2.0);
     drawn.beta = rng.uniform(0.0, 1.5);
@@ -576,12 +710,25 @@ TEST(ABlock, MatchesTheRootSearchForm) {
     double free_sum = 0.0;
     for (const double x : solve_a(uncapped)) free_sum += x;
 
-    for (const char* variant :
-         {"drawn", "capped", "exact", "flat", "nonpositive"}) {
+    ABlockInputs sorted = drawn;
+    sorted.varphi_col = no_varphi.span();
+    sorted.lambda_col = descending.span();
+    sorted.capacity = 1e6;
+    double sorted_sum = 0.0;
+    for (const double x : solve_a(sorted)) sorted_sum += x;
+
+    for (const char* variant : {"drawn", "capped", "exact", "flat",
+                                "nonpositive", "descending", "tight", "zero"}) {
       const std::string shape = variant;
       ABlockInputs in = drawn;
       if (shape == "capped") in.capacity = 0.5 * free_sum;
       if (shape == "exact") in.capacity = free_sum;
+      if (shape == "descending") {
+        in = sorted;
+        in.capacity = 0.5 * sorted_sum;
+      }
+      if (shape == "tight") in.capacity = 1e-3 * free_sum;
+      if (shape == "zero") in.capacity = 0.0;
       if (shape == "flat") in.beta = 0.0;
       // phi / rho far above every lambda_i pushes every b_i below zero.
       if (shape == "nonpositive") in.phi = 50.0 * in.rho / std::max(in.beta, 0.1);
@@ -592,8 +739,9 @@ TEST(ABlock, MatchesTheRootSearchForm) {
       EXPECT_LE(max_abs_diff(solution, reference),
                 kSameMinimizer * std::max(1.0, in.capacity))
           << "seed " << seed << " " << shape;
-      if (shape == "nonpositive") {
-        for (const double x : solution) EXPECT_EQ(x, 0.0) << "seed " << seed;
+      if (shape == "nonpositive" || shape == "zero") {
+        for (const double x : solution)
+          EXPECT_EQ(x, 0.0) << "seed " << seed << " " << shape;
       }
     }
   }

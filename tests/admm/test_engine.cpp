@@ -5,11 +5,15 @@
 // re-captured once when the lambda and a blocks became exact solves
 // (admm/blocks.cpp): the iteration counts stayed, the values moved by the
 // inexactness of the former iterative inner solver. They were re-captured
-// twice more, when those blocks' root searches began starting at the
-// previous iterate and when the lambda search began stepping by its support
-// model and the a block dropped its search for a closed form: a search
-// along another path stops at another point of the same 1e-15-wide
-// bracket, so only the last bits moved.
+// three more times, when those blocks' root searches began starting at the
+// previous iterate, when the lambda search began stepping by its support
+// model and the a block dropped its search for a closed form, and when the
+// lambda search began at the support model's root on the previous iterate's
+// support, projecting on that support where its optimality conditions hold,
+// and a capped a column took the simplex threshold of its kept entries: a
+// search along another path stops at another point of the same
+// 1e-15-wide bracket, and a threshold summed over the support differs from
+// Condat's incremental one by ulps, so only the last bits moved.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -38,30 +42,30 @@ using ::ufc::testing::make_tiny_problem;
 // {lambda(0,0), lambda(0,1), lambda(1,0), lambda(1,1), mu[0], mu[1],
 //  nu[0], nu[1], a(0,0), a(1,1), varphi(0,1), phi[0], last_change}.
 constexpr std::array<std::array<double, 13>, 6> kStepBaselines = {{
-    {0x1.8af8af8af8af8p-1, 0x1.b6db6db6db6dcp-2, 0x1.38f3eb4a3613cp-3,
-     0x1.4b5c9ec70c14cp-1, 0x0p+0, 0x0p+0, 0x1.bc01aaaf913f7p-5,
+    {0x1.8af8af8af8af8p-1, 0x1.b6db6db6db6dcp-2, 0x1.38f3eb4a36138p-3,
+     0x1.4b5c9ec70c14cp-1, 0x0p+0, 0x0p+0, 0x1.bc01aaaf913f6p-5,
      0x1.03adb4922963dp-4, 0x1.859eb897a691p-1, 0x1.4677100e0fa19p-1,
      -0x1.87bc99cee3ffp-4, 0x1.bdf3b88a1097p+0, 0x1.859eb897a691p-1},
     {0x1.d5d077a433f5p-1, 0x1.212bdd8464e2dp-2, 0x0p+0, 0x1.999999999999ap-1,
-     0x1.bc01aaaf913f7p-5, 0x1.03adb4922963dp-4, 0x1.df02ebab64dp-13,
+     0x1.bc01aaaf913f6p-5, 0x1.03adb4922963dp-4, 0x1.df02ebab64ep-13,
      0x1.9e3b8dcbb21p-12, 0x1.d074b4d709d5dp-1, 0x1.94b0ef8cfd8aep-1,
      -0x1.8838dedfd44d8p-3, 0x1.be3e90fee35ecp+1, 0x1.38e77dfbb7a54p-3},
-    {0x1.0ae32f96e4484p+0, 0x1.42801ce27757cp-3, 0x0p+0, 0x1.999999999999ap-1,
-     0x1.df02ebab64dp-13, 0x1.9e3b8dcbb21p-12, 0x1.e974811a46f8cp-8,
-     -0x1.e7b4a5a5fa0eep-8, 0x1.0817f02890347p+0, 0x1.94eb75de4ee65p-1,
-     -0x1.21b73a11c0295p-2, 0x1.5389461f20ea7p+2, 0x1.fddb09c21a006p-4},
+    {0x1.0ae32f96e4484p+0, 0x1.42801ce27757ep-3, 0x0p+0, 0x1.999999999999ap-1,
+     0x1.df02ebab64ep-13, 0x1.9e3b8dcbb21p-12, 0x1.e974811a46f8cp-8,
+     -0x1.e7b4a5a5fa0ecp-8, 0x1.0817f02890347p+0, 0x1.94eb75de4ee65p-1,
+     -0x1.21b73a11c0295p-2, 0x1.5389461f20ea7p+2, 0x1.fddb09c21a002p-4},
     {0x1.2601a7ecd137fp+0, 0x1.a63168cc3f68p-5, 0x0p+0, 0x1.999999999999ap-1,
-     0x1.e974811a46f8cp-8, -0x1.e7b4a5a5fa0eep-8, 0x1.9f0dd38c956bdp-8,
-     -0x1.9d920c0837c29p-8, 0x1.231d8143b7442p+0, 0x1.951d16c10834bp-1,
-     -0x1.7b7172fd1c0c1p-2, 0x1.cc00e64faf9b1p+2, 0x1.b05a7e4904886p-4},
+     0x1.e974811a46f8cp-8, -0x1.e7b4a5a5fa0ecp-8, 0x1.9f0dd38c956bdp-8,
+     -0x1.9d920c0837c2dp-8, 0x1.231d8143b7442p+0, 0x1.951d16c10834bp-1,
+     -0x1.7b7172fd1c0c1p-2, 0x1.cc00e64faf9b1p+2, 0x1.b05a7e490488ap-4},
     {0x1.3333333333333p+0, 0x0p+0, 0x0p+0, 0x1.999999999999ap-1,
-     0x1.9f0dd38c956bep-8, -0x1.9d920c0837c29p-8, 0x1.93d9f6a975433p-9,
+     0x1.9f0dd38c956bep-8, -0x1.9d920c0837c2dp-8, 0x1.93d9f6a975433p-9,
      -0x1.4f301cef54b7p-9, 0x1.3042eef5e6155p+0, 0x1.9531333da5edp-1,
      -0x1.7b7172fd1c0c1p-2, 0x1.2338ab7a490f2p+3, 0x1.a4adb645da26p-5},
     {0x1.3333333333333p+0, 0x0p+0, 0x0p+0, 0x1.999999999999ap-1,
      0x1.93d9f6a975433p-9, -0x1.4f301cef54b7p-9, 0x1.fp-57, -0x1.ep-58,
      0x1.3042eef5e6156p+0, 0x1.9531333da5ecfp-1, -0x1.7b7172fd1c0c1p-2,
-     0x1.6070e3ccba50cp+3, 0x1.ebf3fb211ace2p-9},
+     0x1.6070e3ccba50cp+3, 0x1.ebf3fb211aceap-9},
 }};
 
 TEST(EngineEquivalence, PinnedIterateBaselines) {
@@ -102,7 +106,7 @@ TEST(EngineEquivalence, PinnedFullSolveReport) {
   ASSERT_EQ(report.trace.balance_residual.size(), 62u);
   ASSERT_EQ(report.trace.copy_residual.size(), 62u);
   ASSERT_EQ(report.trace.objective.size(), 62u);
-  EXPECT_EQ(report.trace.balance_residual.front(), 0x1.eb851eb851eb8p-4);
+  EXPECT_EQ(report.trace.balance_residual.front(), 0x1.eb851eb851eb9p-4);
   EXPECT_EQ(report.trace.copy_residual.front(), 0x1.567dbcd487ap-7);
   EXPECT_EQ(report.trace.objective.front(), -0x1.b8d8138baa513p+4);
   EXPECT_EQ(report.trace.balance_residual.back(), report.balance_residual);
@@ -299,10 +303,10 @@ TEST(EngineTelemetry, PhaseProfilesAreCoherentWhenEnabled) {
   }
 }
 
-// The block solvers' probe counts on paper hour 64 (Hybrid, the simulator's
-// options): work counts, so they are equal for every thread count, and
-// pinned so a change to where the lambda and a root searches start shows
-// up here.
+// The block solvers' work counts on paper hour 64 (Hybrid, the simulator's
+// options): equal for every thread count, and pinned so a change to where
+// the lambda search starts, which support its probes try, or how the a
+// block finishes a capped column shows up here.
 TEST(EngineTelemetry, BlockProbeCountsArePinned) {
   const UfcProblem problem = traces::Scenario::generate({}).problem_at(64);
   for (const int threads : {1, 4}) {
@@ -321,8 +325,12 @@ TEST(EngineTelemetry, BlockProbeCountsArePinned) {
       return counter != nullptr ? counter->value() : 0u;
     };
     // Over 1,090 lambda solves (10 front-ends) and 436 a solves (4
-    // datacenters): the lambda block's probes and the a block's passes.
-    EXPECT_EQ(count("solver.block.lambda_probes"), 2053u)
+    // datacenters): the lambda block's probes, the Condat projections among
+    // them (the rest projected on the support the probe expected), and the
+    // a block's passes.
+    EXPECT_EQ(count("solver.block.lambda_probes"), 1188u)
+        << "threads=" << threads;
+    EXPECT_EQ(count("solver.block.lambda_projections"), 48u)
         << "threads=" << threads;
     EXPECT_EQ(count("solver.block.a_passes"), 537u)
         << "threads=" << threads;

@@ -3,7 +3,9 @@
 // inequality <v - P(v), x - P(v)> <= 0 for sampled feasible x.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "math/projections.hpp"
@@ -288,6 +290,33 @@ TEST(CondatProjection, MatchesSortOracleOnShortRandomInputs) {
                              sort_project_capped_simplex(v, total)), bound)
           << "n " << n << " trial " << trial;
     }
+  }
+}
+
+TEST(CondatProjection, ThresholdMatchesProjection) {
+  // project_simplex_into is simplex_threshold plus one write pass, bit for
+  // bit, on the small-integer inputs and on random ones (the a block's
+  // capped columns write (b - tau)+ from the threshold alone).
+  const auto expect_same = [](const Vec& v, double total,
+                              const std::string& label) {
+    std::vector<double> scratch;
+    const double tau = simplex_threshold(v.span(), total, scratch);
+    const Vec projected = condat_simplex(v, total);
+    for (std::size_t i = 0; i < v.size(); ++i)
+      ASSERT_EQ(projected[i], std::max(v[i] - tau, 0.0)) << label << " " << i;
+  };
+  for (int code = 0; code < 625; ++code) {
+    Vec v(4);
+    for (int k = 0, rest = code; k < 4; ++k, rest /= 5)
+      v[static_cast<std::size_t>(k)] = rest % 5;
+    for (double total : {0.0, 1.0, 2.0, 3.0})
+      expect_same(v, total, "case " + std::to_string(code));
+  }
+  Rng rng(4343);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 40));
+    expect_same(random_vec(rng, n, -5.0, 5.0), rng.uniform(0.1, 10.0),
+                "trial " + std::to_string(trial));
   }
 }
 

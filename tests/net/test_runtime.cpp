@@ -60,9 +60,10 @@ TEST(DistributedRuntime, PhaseProfileCountsMatchInProcess) {
       const obs::Counter* counter = registry.find_counter(name);
       return counter != nullptr ? counter->value() : 0u;
     };
-    return std::vector<std::uint64_t>{count("solver.iterations"),
-                                      count("solver.block.lambda_probes"),
-                                      count("solver.block.a_passes")};
+    return std::vector<std::uint64_t>{
+        count("solver.iterations"), count("solver.block.lambda_probes"),
+        count("solver.block.lambda_projections"),
+        count("solver.block.a_passes")};
   };
   admm::AdmgOptions options = sim::SimulatorOptions{}.admg;
   options.profile_phases = true;
@@ -83,6 +84,8 @@ TEST(DistributedRuntime, PhaseProfileCountsMatchInProcess) {
   EXPECT_EQ(expected[0], 109u);
   EXPECT_GT(expected[1], 0u);
   EXPECT_GT(expected[2], 0u);
+  EXPECT_LT(expected[2], expected[1]);
+  EXPECT_GT(expected[3], 0u);
   EXPECT_EQ(counts(distributed), expected);
 }
 
