@@ -2,35 +2,26 @@
 // and figures come from `ufc_cli reproduce`, see src/sim/reproduce.hpp.)
 //
 // Every binary prints its table to stdout and writes a CSV (named
-// ufc_<bench>.csv) into the current working directory. Instrumented benches
-// additionally write their headline numbers into the machine-readable
-// BENCH_ufc.json artifact (schema ufc-bench-v1, validated by
-// scripts/check_bench_json.py), keyed by bench name so re-runs update in
-// place.
+// ufc_<bench>.csv) into the current working directory. A bench whose own
+// check fails exits 1 after printing its results, and a malformed
+// environment override exits 2 before it solves anything.
 #pragma once
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
-#include "obs/manifest.hpp"
-#include "sim/simulator.hpp"
-#include "traces/scenario.hpp"
+#include "model/problem.hpp"
 #include "util/csv.hpp"
-#include "util/stats.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace ufc::bench {
-
-/// The paper's evaluation scenario (§IV-A defaults, seed 42).
-inline traces::Scenario paper_scenario() {
-  return traces::Scenario::generate(traces::ScenarioConfig{});
-}
-
-/// Paper-scale solver settings (tolerance chosen so the Fig. 11 iteration
-/// distribution lands in the paper's band; see DESIGN.md).
-inline sim::SimulatorOptions paper_options() { return {}; }
 
 inline void print_header(const std::string& title, const std::string& paper) {
   std::cout << "=== " << title << " ===\n";
@@ -42,23 +33,48 @@ inline void note_csv(const CsvWriter& csv) {
             << csv.rows_written() << " rows)\n";
 }
 
-/// Where the machine-readable bench results accumulate. Overridable via
-/// UFC_BENCH_JSON so CI smoke runs can write into their scratch directory.
-inline std::string bench_artifact_path() {
-  // Benches are single-threaded at startup; nobody calls setenv concurrently.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* override_path = std::getenv("UFC_BENCH_JSON");
-  return override_path != nullptr && *override_path != '\0'
-             ? std::string(override_path)
-             : std::string("BENCH_ufc.json");
+/// The seeded M x N instance of every size sweep (N datacenters of 17k-23k
+/// servers, arrivals at 60% of their capacity), so the rows of
+/// bench_parallel_scaling and bench_ingredients at one size solve the same
+/// problem.
+inline UfcProblem random_problem(std::size_t m, std::size_t n) {
+  Rng rng(1234);
+  UfcProblem p;
+  p.power = ServerPowerModel{100.0, 200.0};
+  p.fuel_cell_price = 80.0;
+  p.latency_weight = 10.0;
+  p.utility = std::make_shared<QuadraticUtility>();
+  double capacity = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    DatacenterSpec dc;
+    dc.name = "dc" + std::to_string(j);
+    dc.servers = rng.uniform(1.7e4, 2.3e4);
+    dc.grid_price = rng.uniform(15.0, 120.0);
+    dc.carbon_rate = rng.uniform(200.0, 900.0);
+    dc.fuel_cell_capacity_mw = dc.servers * 200.0 * 1.2 / 1e6;
+    dc.emission_cost = std::make_shared<AffineCarbonTax>(25.0);
+    capacity += dc.servers;
+    p.datacenters.push_back(std::move(dc));
+  }
+  Rng shares_rng(7);
+  p.arrivals =
+      normal_shares(shares_rng, static_cast<int>(m), 0.6 * capacity, 0.35);
+  p.latency_s = Mat(m, n);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      p.latency_s(i, j) = rng.uniform(0.002, 0.045);
+  return p;
 }
 
-/// Replaces (or appends) this bench's entry in BENCH_ufc.json.
-inline void write_bench_entry(const std::string& name,
-                              obs::JsonValue metrics) {
-  const std::string path = bench_artifact_path();
-  obs::update_bench_artifact(path, name, std::move(metrics));
-  std::cout << "Bench entry '" << name << "' written to " << path << "\n";
+/// Parses one field of an environment override as a positive integer. The
+/// whole field must be the number: std::from_chars stops at trailing text,
+/// which the end check refuses, and a '-' fails the parse of an unsigned
+/// type or the positivity check of a signed one.
+template <typename Int>
+bool parse_positive(std::string_view field, Int& value) {
+  const char* end = field.data() + field.size();
+  const auto result = std::from_chars(field.data(), end, value);
+  return result.ec == std::errc() && result.ptr == end && value > 0;
 }
 
 /// One (M, N, timed-iterations) point of a size-scaling sweep.
@@ -80,35 +96,27 @@ inline std::vector<BenchSize> bench_sizes(std::vector<BenchSize> defaults) {
   const char* env = std::getenv("UFC_BENCH_SIZES");
   if (env == nullptr || *env == '\0') return defaults;
   std::vector<BenchSize> sizes;
-  const std::string spec(env);
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item = spec.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    std::size_t x = item.find('x');
+  std::string_view spec(env);
+  while (true) {
+    const std::size_t comma = spec.find(',');
+    const std::string_view item = spec.substr(0, comma);
+    const std::size_t x = item.find('x');
     const std::size_t colon = item.find(':');
-    bool ok = x != std::string::npos && colon != std::string::npos && x > 0 &&
-              colon > x + 1 && colon + 1 < item.size();
     BenchSize size;
-    if (ok) {
-      try {
-        size.m = static_cast<std::size_t>(std::stoul(item.substr(0, x)));
-        size.n = static_cast<std::size_t>(
-            std::stoul(item.substr(x + 1, colon - x - 1)));
-        size.iterations = std::stoi(item.substr(colon + 1));
-      } catch (const std::exception&) {
-        ok = false;
-      }
-    }
-    if (!ok || size.m == 0 || size.n == 0 || size.iterations <= 0) {
+    const bool ok =
+        x != std::string_view::npos && colon != std::string_view::npos &&
+        x < colon && parse_positive(item.substr(0, x), size.m) &&
+        parse_positive(item.substr(x + 1, colon - x - 1), size.n) &&
+        parse_positive(item.substr(colon + 1), size.iterations);
+    if (!ok) {
       std::cerr << "UFC_BENCH_SIZES: malformed item '" << item
-                << "' (expected MxN:iters, e.g. 64x16:20)\n";
+                << "' (expected MxN:iters with positive integers, "
+                   "e.g. 64x16:20)\n";
       std::exit(2);
     }
     sizes.push_back(size);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+    if (comma == std::string_view::npos) break;
+    spec.remove_prefix(comma + 1);
   }
   return sizes;
 }

@@ -8,13 +8,11 @@
 // iterate buys: iterations-to-converge per tick and how often the budget
 // runs out at all.
 //
-// Headline totals land in BENCH_ufc.json under `controller` (validated by
-// scripts/check_bench_json.py). Override the tick count with
-// UFC_BENCH_TICKS (CI smoke runs a short prefix of the week).
+// Override the tick count with UFC_BENCH_TICKS (CI smoke runs a short
+// prefix of the week).
 #include "bench_common.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -24,6 +22,8 @@
 #include "admm/admg.hpp"
 #include "admm/solve_core.hpp"
 #include "ctrl/stream.hpp"
+#include "sim/simulator.hpp"
+#include "traces/scenario.hpp"
 
 namespace {
 
@@ -55,13 +55,9 @@ int bench_ticks(int available) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const char* env = std::getenv("UFC_BENCH_TICKS");
   if (env == nullptr || *env == '\0') return available;
-  const std::string spec(env);
   int ticks = 0;
-  const auto result =
-      std::from_chars(spec.data(), spec.data() + spec.size(), ticks);
-  if (result.ec != std::errc() || result.ptr != spec.data() + spec.size() ||
-      ticks < 1) {
-    std::cerr << "UFC_BENCH_TICKS: malformed value '" << spec
+  if (!ufc::bench::parse_positive(env, ticks)) {
+    std::cerr << "UFC_BENCH_TICKS: malformed value '" << env
               << "' (expected a positive integer)\n";
     std::exit(2);
   }
@@ -76,7 +72,8 @@ int main() {
   bench::print_header("Receding-horizon warm starts vs cold restarts",
                       "streaming re-solve, one week of hourly ticks");
 
-  const auto scenario = bench::paper_scenario();
+  // The paper's §IV-A week (seed 42) under the paper-scale solver settings.
+  const auto scenario = traces::Scenario::generate(traces::ScenarioConfig{});
   ctrl::ScenarioTickSource source(scenario);
 
   std::vector<admm::ProblemUpdate> updates;
@@ -84,7 +81,7 @@ int main() {
   const int ticks = bench_ticks(static_cast<int>(updates.size()));
   updates.resize(static_cast<std::size_t>(ticks));
 
-  const admm::AdmgOptions admg = bench::paper_options().admg;
+  const admm::AdmgOptions admg = sim::SimulatorOptions{}.admg;
   admm::AdmgSolver warm(source.base_problem(), admg);
   admm::AdmgSolver cold(source.base_problem(), admg);
   Totals warm_totals;
@@ -139,19 +136,6 @@ int main() {
             << fixed(100.0 * savings_ratio, 1) << "% over " << ticks
             << " ticks at budget " << kBudgetPerTick << "/tick.\n";
 
-  obs::JsonValue section = obs::JsonValue::object();
-  section.set("ticks", obs::JsonValue(ticks));
-  section.set("budget_per_tick", obs::JsonValue(kBudgetPerTick));
-  section.set("warm_iterations", obs::JsonValue(warm_totals.iterations));
-  section.set("cold_iterations", obs::JsonValue(cold_totals.iterations));
-  section.set("warm_budget_exhausted",
-              obs::JsonValue(warm_totals.budget_exhausted));
-  section.set("cold_budget_exhausted",
-              obs::JsonValue(cold_totals.budget_exhausted));
-  section.set("savings_ratio", obs::JsonValue(savings_ratio));
-  obs::JsonValue metrics = obs::JsonValue::object();
-  metrics.set("controller", std::move(section));
-  bench::write_bench_entry("controller", std::move(metrics));
   bench::note_csv(csv);
   return 0;
 }

@@ -5,55 +5,21 @@
 // iterations-to-tolerance and wall time, normalized against the plain loop
 // (the bit-pinned reference). The accelerated run is cross-checked against
 // the plain run's objective (both must agree on the optimum, not just
-// converge), and the rows land in BENCH_ufc.json under `iteration_frontier`
-// (validated by scripts/check_bench_json.py). Override the sizes with
-// UFC_BENCH_SIZES (see bench_common.hpp).
+// converge): a mismatch exits 1. Override the sizes with UFC_BENCH_SIZES
+// (see bench_common.hpp).
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "admm/admg.hpp"
-#include "util/rng.hpp"
 
 namespace {
-
-// Same generator (and seeds) as bench_parallel_scaling, so sizes here are
-// directly comparable with the scaling-frontier rows.
-ufc::UfcProblem random_problem(std::size_t m, std::size_t n) {
-  using namespace ufc;
-  Rng rng(1234);
-  UfcProblem p;
-  p.power = ServerPowerModel{100.0, 200.0};
-  p.fuel_cell_price = 80.0;
-  p.latency_weight = 10.0;
-  p.utility = std::make_shared<QuadraticUtility>();
-  double capacity = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    DatacenterSpec dc;
-    dc.name = "dc" + std::to_string(j);
-    dc.servers = rng.uniform(1.7e4, 2.3e4);
-    dc.grid_price = rng.uniform(15.0, 120.0);
-    dc.carbon_rate = rng.uniform(200.0, 900.0);
-    dc.fuel_cell_capacity_mw = dc.servers * 200.0 * 1.2 / 1e6;
-    dc.emission_cost = std::make_shared<AffineCarbonTax>(25.0);
-    capacity += dc.servers;
-    p.datacenters.push_back(std::move(dc));
-  }
-  Rng shares_rng(7);
-  p.arrivals =
-      normal_shares(shares_rng, static_cast<int>(m), 0.6 * capacity, 0.35);
-  p.latency_s = Mat(m, n);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      p.latency_s(i, j) = rng.uniform(0.002, 0.045);
-  return p;
-}
 
 /// Plain loop first: the accelerated row is normalized against it.
 constexpr ufc::admm::Acceleration kAccelerations[] = {
@@ -109,10 +75,9 @@ int main() {
   CsvWriter csv("ufc_ingredients.csv",
                 {"m", "n", "acceleration", "iterations", "converged",
                  "wall_seconds", "ufc", "fallbacks", "speedup_vs_none"});
-  obs::JsonValue frontier = obs::JsonValue::array();
 
   for (const bench::BenchSize& size : sizes) {
-    const UfcProblem problem = random_problem(size.m, size.n);
+    const UfcProblem problem = bench::random_problem(size.m, size.n);
     std::cout << "-- " << size.m << " front-ends x " << size.n
               << " datacenters (max " << size.iterations << " iterations)\n";
     TablePrinter table({"acceleration", "iters", "converged", "wall s",
@@ -158,24 +123,11 @@ int main() {
                        run.converged ? "1" : "0",
                        csv_number(run.wall_seconds), csv_number(run.ufc),
                        std::to_string(run.fallbacks), csv_number(speedup)});
-
-      obs::JsonValue row = obs::JsonValue::object();
-      row.set("m", obs::JsonValue(static_cast<std::int64_t>(size.m)));
-      row.set("n", obs::JsonValue(static_cast<std::int64_t>(size.n)));
-      row.set("acceleration", obs::JsonValue(name));
-      row.set("iterations", obs::JsonValue(run.iterations));
-      row.set("converged", obs::JsonValue(run.converged));
-      row.set("wall_seconds", obs::JsonValue(run.wall_seconds));
-      row.set("speedup_vs_none", obs::JsonValue(speedup));
-      frontier.push_back(std::move(row));
     }
     table.print();
     std::cout << "\n";
   }
 
-  obs::JsonValue metrics = obs::JsonValue::object();
-  metrics.set("iteration_frontier", std::move(frontier));
-  bench::write_bench_entry("ingredients", std::move(metrics));
   bench::note_csv(csv);
   return 0;
 }

@@ -15,12 +15,14 @@
 // round, as counted by the hub-side bus (the in-process row counts both
 // directions, the socket rows the hub's egress plus frame headers — the
 // inner wire codec is identical everywhere). The socket rows price the real
-// cost of process isolation: framing, syscalls and scheduler handoffs.
+// cost of process isolation: framing, syscalls and scheduler handoffs. A
+// rate or byte count that is not positive and finite means the transport
+// moved nothing, and the bench exits 1 after printing every row.
 #include "bench_common.hpp"
 
 #include <unistd.h>
 
-#include <cstdint>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -182,7 +184,10 @@ int main() {
   CsvWriter csv("ufc_socket_bus.csv",
                 {"transport", "m", "n", "rounds", "rounds_per_sec",
                  "bytes_per_round"});
-  obs::JsonValue section = obs::JsonValue::array();
+  const auto positive = [](double value) {
+    return std::isfinite(value) && value > 0.0;
+  };
+  bool failed = false;
   std::printf("%-12s %6s %6s %8s %16s %16s\n", "transport", "M", "N",
               "rounds", "rounds/sec", "bytes/round");
   for (const auto& size : sizes) {
@@ -200,20 +205,16 @@ int main() {
                        csv_number(static_cast<double>(point.rounds)),
                        csv_number(point.rounds_per_sec),
                        csv_number(point.bytes_per_round)});
-      obs::JsonValue row = obs::JsonValue::object();
-      row.set("transport", obs::JsonValue(point.transport));
-      row.set("m", obs::JsonValue(static_cast<std::int64_t>(point.m)));
-      row.set("n", obs::JsonValue(static_cast<std::int64_t>(point.n)));
-      row.set("rounds", obs::JsonValue(point.rounds));
-      row.set("rounds_per_sec", obs::JsonValue(point.rounds_per_sec));
-      row.set("bytes_per_round", obs::JsonValue(point.bytes_per_round));
-      section.push_back(std::move(row));
+      if (!positive(point.rounds_per_sec) ||
+          !positive(point.bytes_per_round)) {
+        std::fprintf(stderr,
+                     "%s at %zux%zu: rounds/sec and bytes/round must be "
+                     "positive and finite\n",
+                     point.transport.c_str(), point.m, point.n);
+        failed = true;
+      }
     }
   }
   bench::note_csv(csv);
-
-  obs::JsonValue entry = obs::JsonValue::object();
-  entry.set("transport_overhead", std::move(section));
-  bench::write_bench_entry("socket_bus", std::move(entry));
-  return 0;
+  return failed ? 1 : 0;
 }

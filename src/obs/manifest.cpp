@@ -1,6 +1,5 @@
 #include "obs/manifest.hpp"
 
-#include <fstream>
 #include <utility>
 
 #include "admm/watchdog.hpp"
@@ -82,48 +81,6 @@ JsonValue link_stats_json(const net::LinkStats& stats) {
   out.set("delayed", JsonValue(stats.delayed));
   out.set("backoff_rounds", JsonValue(stats.backoff_rounds));
   return out;
-}
-
-void update_bench_artifact(const std::string& path, const std::string& name,
-                           JsonValue metrics) {
-  JsonValue document;
-  {
-    std::ifstream probe(path);
-    if (probe) {
-      std::string text{std::istreambuf_iterator<char>(probe),
-                       std::istreambuf_iterator<char>()};
-      if (!text.empty()) document = JsonValue::parse(text);
-    }
-  }
-  if (document.is_null()) {
-    document = JsonValue::object();
-    document.set("schema", JsonValue(kBenchArtifactSchema));
-    document.set("benchmarks", JsonValue::array());
-  }
-  const JsonValue* schema = document.find("schema");
-  UFC_EXPECTS(schema != nullptr && schema->is_string() &&
-              schema->as_string() == kBenchArtifactSchema);
-
-  JsonValue entry = JsonValue::object();
-  entry.set("name", JsonValue(name));
-  entry.set("metrics", std::move(metrics));
-
-  JsonValue updated = JsonValue::array();
-  bool replaced = false;
-  const JsonValue* existing = document.find("benchmarks");
-  UFC_EXPECTS(existing != nullptr && existing->is_array());
-  for (const JsonValue& item : existing->items()) {
-    if (item.is_object() && item.find("name") != nullptr &&
-        item.at("name").is_string() && item.at("name").as_string() == name) {
-      updated.push_back(entry);
-      replaced = true;
-    } else {
-      updated.push_back(item);
-    }
-  }
-  if (!replaced) updated.push_back(std::move(entry));
-  document.set("benchmarks", std::move(updated));
-  write_json_file(path, document);
 }
 
 }  // namespace ufc::obs

@@ -1,15 +1,7 @@
-// Machine-readable run artifacts:
-//
-//   RunManifest            one JSON document per run ("ufc-run-v1"): what was
-//                          configured, what the solver did, what it cost.
-//                          Written by the CLI (--metrics) and examples.
-//   update_bench_artifact  the bench harness's BENCH_ufc.json ("ufc-bench-v1"):
-//                          a named-entry list that benches update in place, so
-//                          successive bench runs accumulate one machine-
-//                          readable results file.
-//
-// Both schemas are validated by scripts/check_bench_json.py (registered in
-// ctest and run by CI's bench-smoke job).
+// The machine-readable run artifact: RunManifest, one JSON document per run
+// ("ufc-run-v1") saying what was configured, what the solver did and what it
+// cost. Written by the CLI (--metrics) and the examples, and validated by
+// scripts/check_bench_json.py (registered in ctest).
 #pragma once
 
 #include <string>
@@ -22,7 +14,6 @@
 namespace ufc::obs {
 
 inline constexpr const char* kRunManifestSchema = "ufc-run-v1";
-inline constexpr const char* kBenchArtifactSchema = "ufc-bench-v1";
 
 /// Builder for the per-run manifest. Sections are ordered by insertion, so a
 /// manifest diffs cleanly against the previous run's.
@@ -54,13 +45,5 @@ JsonValue solve_core_json(const admm::SolveCore& core);
 
 /// Bus traffic counters as a JSON section.
 JsonValue link_stats_json(const net::LinkStats& stats);
-
-/// Loads `path` (creating the document if missing or empty), replaces or
-/// appends the entry named `name` in its "benchmarks" array, and writes the
-/// file back. Entries are {"name": ..., "metrics": {...}}; an existing file
-/// with the wrong schema throws ufc::ContractViolation rather than being
-/// clobbered.
-void update_bench_artifact(const std::string& path, const std::string& name,
-                           JsonValue metrics);
 
 }  // namespace ufc::obs

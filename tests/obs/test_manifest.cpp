@@ -1,5 +1,5 @@
-// Run manifests and the bench artifact: schema markers, section building,
-// solve-core serialization, and BENCH_ufc.json's replace-by-name update.
+// Run manifests: the schema marker, section building, the write/read round
+// trip and solve-core serialization.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -100,46 +100,6 @@ TEST(Manifest, LinkStatsJsonCountsTraffic) {
   EXPECT_EQ(section.at("bytes").as_int(), 4096);
   EXPECT_EQ(section.at("retransmissions").as_int(), 3);
   EXPECT_EQ(section.at("delivery_failures").as_int(), 0);
-}
-
-TEST(BenchArtifact, CreatesReplacesAndAppendsEntriesByName) {
-  const std::string path = temp_path("bench_artifact.json");
-  std::remove(path.c_str());
-
-  JsonValue first = JsonValue::object();
-  first.set("runs", JsonValue(168));
-  update_bench_artifact(path, "fig11", std::move(first));
-
-  JsonValue doc = read_json_file(path);
-  EXPECT_EQ(doc.at("schema").as_string(), kBenchArtifactSchema);
-  ASSERT_EQ(doc.at("benchmarks").size(), 1u);
-  EXPECT_EQ(doc.at("benchmarks").at(0).at("name").as_string(), "fig11");
-  EXPECT_EQ(doc.at("benchmarks").at(0).at("metrics").at("runs").as_int(), 168);
-
-  // A second bench appends; re-running the first replaces in place.
-  JsonValue second = JsonValue::object();
-  second.set("speedup", JsonValue(3.5));
-  update_bench_artifact(path, "scaling", std::move(second));
-  JsonValue rerun = JsonValue::object();
-  rerun.set("runs", JsonValue(42));
-  update_bench_artifact(path, "fig11", std::move(rerun));
-
-  doc = read_json_file(path);
-  ASSERT_EQ(doc.at("benchmarks").size(), 2u);
-  EXPECT_EQ(doc.at("benchmarks").at(0).at("name").as_string(), "fig11");
-  EXPECT_EQ(doc.at("benchmarks").at(0).at("metrics").at("runs").as_int(), 42);
-  EXPECT_EQ(doc.at("benchmarks").at(1).at("name").as_string(), "scaling");
-  std::remove(path.c_str());
-}
-
-TEST(BenchArtifact, RefusesToClobberForeignJson) {
-  const std::string path = temp_path("bench_foreign.json");
-  JsonValue foreign = JsonValue::object();
-  foreign.set("schema", JsonValue("not-a-bench-artifact"));
-  write_json_file(path, foreign);
-  EXPECT_THROW(update_bench_artifact(path, "x", JsonValue::object()),
-               ContractViolation);
-  std::remove(path.c_str());
 }
 
 }  // namespace
